@@ -166,24 +166,26 @@ void Core::SpecMemGrow(ThreadCtx& t) {
 // ---------------------------------------------------------------------------
 
 Core::ThreadCtx::ThreadCtx(const Program& p, std::uint32_t ifq_cap,
-                           std::uint32_t ruu_cap, std::uint32_t idx)
+                           std::uint32_t ruu_cap, std::uint32_t idx,
+                           bool load_image)
     : prog(&p), index(idx), ifq(ifq_cap), fetch_pc(p.entry), ruu(ruu_cap) {
   iregs.fill(0);
   fregs.fill(0.0);
   // Match the functional emulator's ABI (same relocation rules, or the
   // lockstep cosim would diverge on the first sp-relative access).
   iregs[kRegSp] = InitialStackPointer(p);
-  mem.LoadProgram(p);
+  if (load_image) mem.LoadProgram(p);
   sched.SetSlotCount(ruu.capacity());
   rename.Reset();
 }
 
 Core::Core(const Program& prog, const CoreConfig& config,
-           BlockCache* shared_block_cache)
-    : Core(std::vector<const Program*>{&prog}, config, shared_block_cache) {}
+           BlockCache* shared_block_cache, const WarmState* warm)
+    : Core(std::vector<const Program*>{&prog}, config, shared_block_cache,
+           warm) {}
 
 Core::Core(const std::vector<const Program*>& progs, const CoreConfig& config,
-           BlockCache* shared_block_cache)
+           BlockCache* shared_block_cache, const WarmState* warm)
     : config_(config),
       num_main_(static_cast<std::uint32_t>(progs.size())),
       hier_(config.mem),
@@ -193,6 +195,7 @@ Core::Core(const std::vector<const Program*>& progs, const CoreConfig& config,
       pruu_(config.spear.pthread_ruu_size) {
   SPEAR_CHECK(!progs.empty() && progs.size() < 250);
   SPEAR_CHECK(shared_block_cache == nullptr || progs.size() == 1);
+  SPEAR_CHECK(warm == nullptr || progs.size() == 1);
   // Each context gets an equal share of the front-end queue and the RUU.
   // At N=1 the shares are the full structures, preserving the historical
   // single-thread geometry exactly.
@@ -202,8 +205,8 @@ Core::Core(const std::vector<const Program*>& progs, const CoreConfig& config,
   SPEAR_CHECK(ifq_cap >= 1 && ruu_cap >= 1);
   threads_.reserve(progs.size());
   for (std::uint32_t i = 0; i < n; ++i) {
-    threads_.push_back(
-        std::make_unique<ThreadCtx>(*progs[i], ifq_cap, ruu_cap, i));
+    threads_.push_back(std::make_unique<ThreadCtx>(
+        *progs[i], ifq_cap, ruu_cap, i, /*load_image=*/warm == nullptr));
     ThreadCtx& t = *threads_.back();
     t.pt = config.spear.enabled ? PThreadTable(progs[i]->pthreads)
                                 : PThreadTable();
@@ -222,6 +225,7 @@ Core::Core(const std::vector<const Program*>& progs, const CoreConfig& config,
   // One cache-counter slot per main thread + one for the p-thread.
   hier_.l1d().ConfigureThreadSlots(num_main_ + 1);
   hier_.l2().ConfigureThreadSlots(num_main_ + 1);
+  if (warm != nullptr) InstallWarmState(*warm);
 }
 
 void Core::InstallWarmState(const WarmState& ws) {

@@ -191,14 +191,23 @@ class Core {
   // code image; nullptr gives the core a private cache. The cache is
   // (re-)attached in the constructor, so a shared cache keyed to a
   // different program or P-thread Table flushes automatically.
+  //
+  // `warm` warm-starts the core: it is constructed straight into that
+  // post-warmup state (as if InstallWarmState(*warm) followed), skipping
+  // the program image load the warm image would replace. The memory image
+  // is shared copy-on-write with `warm`, so one WarmState can warm-start
+  // any number of cores in turn and is never modified by them.
   Core(const Program& prog, const CoreConfig& config,
-       BlockCache* shared_block_cache = nullptr);
+       BlockCache* shared_block_cache = nullptr,
+       const WarmState* warm = nullptr);
 
   // Multi-program SMT: one main-thread context per program (tid = index),
-  // p-thread context at tid = progs.size(). A shared block cache is only
-  // legal single-program (each context needs its own decoded image).
+  // p-thread context at tid = progs.size(). A shared block cache and a
+  // warm start are only legal single-program (each context needs its own
+  // decoded image, and a WarmState holds one context).
   Core(const std::vector<const Program*>& progs, const CoreConfig& config,
-       BlockCache* shared_block_cache = nullptr);
+       BlockCache* shared_block_cache = nullptr,
+       const WarmState* warm = nullptr);
 
   // Advances one clock cycle.
   void StepCycle();
@@ -213,7 +222,8 @@ class Core {
   // tag/LRU arrays, predictor tables) from a functional fast-forward or a
   // restored checkpoint. Only legal before the first cycle and with a
   // single main thread; the warm state's cache/predictor geometry must
-  // match this core's config.
+  // match this core's config. For callers that construct first; passing
+  // the state to the constructor skips the image load this replaces.
   void InstallWarmState(const WarmState& ws);
 
   bool halted() const { return halted_; }
@@ -317,8 +327,9 @@ class Core {
   // state (with wrong-path overlay), front-end queue and back-end
   // partition. At N=1 the single context is the historical core state.
   struct ThreadCtx {
+    // `load_image` false leaves memory empty for a warm image to fill.
     ThreadCtx(const Program& p, std::uint32_t ifq_cap, std::uint32_t ruu_cap,
-              std::uint32_t index);
+              std::uint32_t index, bool load_image);
 
     const Program* prog;
     std::uint32_t index;  // == main-thread tid

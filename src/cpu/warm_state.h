@@ -1,10 +1,16 @@
-// Post-warmup machine state produced by functional fast-forward and
-// consumed by Core::InstallWarmState — the paper's skip-and-simulate
-// methodology factored into a first-class object. Holds everything the
-// timed core's behaviour depends on at the switch point: architectural
-// registers, the memory image, cache tag/LRU arrays and predictor tables.
-// The runner's checkpoint layer serializes exactly this struct, so a run
-// restored from a checkpoint and a run warmed live are bit-identical.
+// Post-warmup machine state produced by functional fast-forward
+// (runner::Warmer) and consumed by a warm-started Core (the constructor's
+// `warm` argument, or Core::InstallWarmState on a core constructed cold)
+// — the paper's skip-and-simulate methodology factored into a
+// first-class object. Holds everything the timed core's behaviour
+// depends on at the switch point: architectural registers, the memory
+// image, cache tag/LRU arrays and predictor tables. The runner's
+// checkpoint layer serializes exactly this struct, so a run restored
+// from a checkpoint and a run warmed live are bit-identical.
+// The memory image is shared copy-on-write with whatever produced it and
+// with every core or cosim emulator started from it (mem/memory.h):
+// handing a WarmState on copies no pages, and nothing started from it
+// ever changes its bytes, so one state can warm-start many cores in turn.
 // Deliberately absent: pipeline and scheduler state. Warm state installs
 // only at cycle 0, where the RUU, IFQ and the event scheduler's wakeup /
 // ready / completion structures are empty by construction (enforced by

@@ -29,8 +29,7 @@ PreparedWorkload PrepareWorkload(const std::string& name,
 
 RunStats RunConfig(const Program& prog, const CoreConfig& config,
                    const EvalOptions& options, const WarmState* warm) {
-  Core core(prog, config);
-  if (warm != nullptr) core.InstallWarmState(*warm);
+  Core core(prog, config, /*shared_block_cache=*/nullptr, warm);
   std::unique_ptr<cosim::CosimChecker> checker;
   if (config.cosim_check) {
     checker = std::make_unique<cosim::CosimChecker>(prog);

@@ -204,8 +204,9 @@ class MemoryHierarchy {
 
   // Warming-only access: updates tag/LRU/dirty state exactly like
   // AccessData but skips the latency and MSHR-merge bookkeeping, none of
-  // which is part of a WarmState. The fast-forward and sampling
-  // substrates drive this once per load/store, so it must stay lean.
+  // which is part of a WarmState. The warming routine behind
+  // fast-forward and sampling (runner::Warmer) drives this once per
+  // load/store, so it must stay lean.
   void WarmData(Addr addr, bool write, ThreadId tid, std::uint32_t asid = 0) {
     if (!l1d_.Access(addr, write, tid, asid)) {
       l2().Access(addr, write, tid, asid);

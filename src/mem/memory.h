@@ -7,6 +7,16 @@
 // defeat the one-entry page memos, and on those misses two dependent
 // loads beat a hash probe by a wide margin in the functional substrate's
 // per-instruction loop.
+//
+// Pages are shared copy-on-write. CopyFrom shares every page of the
+// source instead of copying it, and the first write through either side
+// to a shared page clones it first, so neither side ever sees the
+// other's writes. That makes a warm-state snapshot, a warm-started core
+// and a restored checkpoint child cost one pointer per page instead of
+// one page copy — the difference between a sampled interval's host cost
+// following its instruction count and following its image size. The
+// sharing is unsynchronized by design: no Memory crosses threads (the
+// runner parallelizes by fork).
 #pragma once
 
 #include <algorithm>
@@ -142,28 +152,26 @@ class Memory {
 
   std::size_t AllocatedPages() const { return page_count_; }
 
-  // Replaces this memory's contents with a deep copy of `other` (used to
-  // transfer a fast-forwarded image into the timed core).
+  // Replaces this memory's contents with a copy-on-write copy of `other`
+  // (a warm-state snapshot, a warm-started core, a restored checkpoint):
+  // every page becomes shared, and whichever side writes a shared page
+  // first clones it. Costs one reference per page, not one page copy.
   void CopyFrom(const Memory& other) {
-    InvalidateMemos();  // memoized pages may be dropped or rewritten below
+    if (&other == this) return;
+    InvalidateMemos();  // memoized pages may be dropped below
+    // The source's write memo names a page it may now write in place;
+    // once shared, that write must go through the clone check instead.
+    other.wmemo_pn_ = kNoMemo;
+    other.wmemo_page_ = nullptr;
     page_count_ = other.page_count_;
     for (std::size_t d = 0; d < kFanout; ++d) {
       const Leaf* src = other.dir_[d].get();
       if (src == nullptr) {
         dir_[d].reset();
-        continue;
-      }
-      if (!dir_[d]) dir_[d] = std::make_unique<Leaf>();
-      Leaf& dst = *dir_[d];
-      for (std::size_t l = 0; l < kFanout; ++l) {
-        const Page* page = (*src)[l].get();
-        if (page == nullptr) {
-          dst[l].reset();
-        } else if (dst[l]) {
-          *dst[l] = *page;
-        } else {
-          dst[l] = std::make_unique<Page>(*page);
-        }
+      } else if (dir_[d]) {
+        *dir_[d] = *src;
+      } else {
+        dir_[d] = std::make_unique<Leaf>(*src);
       }
     }
   }
@@ -187,6 +195,9 @@ class Memory {
   }
 
   // Raw bytes of an allocated page (nullptr if the page was never touched).
+  // Valid until this Memory next writes the page (a shared page is then
+  // cloned) or is the destination of CopyFrom. Two Memories return the
+  // same pointer exactly when they still share the page.
   const std::uint8_t* PageData(Addr page_number) const {
     const Leaf* leaf = dir_[page_number >> kLeafBits].get();
     if (leaf == nullptr) return nullptr;
@@ -195,9 +206,11 @@ class Memory {
   }
 
   // Installs kPageSize bytes as page `page_number` (checkpoint restore).
+  // A shared page is replaced rather than cloned: every byte is about to
+  // be overwritten anyway.
   void InstallPage(Addr page_number, const std::uint8_t* bytes) {
-    Page* page = TouchPage(page_number << kPageBits);
-    std::memcpy(page->data(), bytes, kPageSize);
+    std::memcpy(SlotForWrite(page_number, /*keep_bytes=*/false)->data(),
+                bytes, kPageSize);
   }
 
  private:
@@ -209,7 +222,7 @@ class Memory {
   // instances tests and sampling intervals create.
   static constexpr unsigned kLeafBits = 10;
   static constexpr std::size_t kFanout = 1u << kLeafBits;
-  using Leaf = std::array<std::unique_ptr<Page>, kFanout>;
+  using Leaf = std::array<std::shared_ptr<Page>, kFanout>;
 
   static Addr PageNumber(Addr addr) { return addr >> kPageBits; }
   static Addr Offset(Addr addr) { return addr & (kPageSize - 1); }
@@ -222,24 +235,36 @@ class Memory {
   }
 
   Page* TouchPage(Addr addr) {
-    const Addr pn = PageNumber(addr);
+    return SlotForWrite(PageNumber(addr), /*keep_bytes=*/true);
+  }
+
+  // The page `pn` made private to this Memory, ready to write: allocated
+  // zero-filled on first touch, cloned when shared (or, without
+  // `keep_bytes`, replaced by a fresh page the caller fully overwrites).
+  // A replaced page may be the read memo's, which is retargeted.
+  Page* SlotForWrite(Addr pn, bool keep_bytes) {
     std::unique_ptr<Leaf>& leaf = dir_[pn >> kLeafBits];
     if (!leaf) leaf = std::make_unique<Leaf>();
-    std::unique_ptr<Page>& slot = (*leaf)[pn & (kFanout - 1)];
+    std::shared_ptr<Page>& slot = (*leaf)[pn & (kFanout - 1)];
     if (!slot) {
-      slot = std::make_unique<Page>();
-      slot->fill(0);
+      slot = std::make_shared<Page>();  // value-initialized: all zero
       ++page_count_;
+    } else if (slot.use_count() > 1) {
+      slot = keep_bytes ? std::make_shared<Page>(*slot)
+                        : std::make_shared<Page>();
+      if (rmemo_pn_ == pn) rmemo_page_ = slot.get();
     }
     return slot.get();
   }
 
   // One-entry page memos for the read and write paths: loops and stack
   // traffic hit the same page for long runs, so most accesses skip the
-  // hash probe entirely. Pages are heap-allocated and never freed except
-  // in CopyFrom (which invalidates), so the cached pointers stay valid
-  // across rehashes. Absent pages are not memoized — a later write may
-  // create them.
+  // radix walk entirely. A memoized page stays valid until this Memory
+  // drops its reference, which only CopyFrom (invalidates both memos)
+  // and an unsharing write (retargets the read memo) do. The write memo
+  // additionally only ever names a page this Memory owns alone, so
+  // CopyFrom drops the *source's* write memo when it shares the pages.
+  // Absent pages are not memoized — a later write may create them.
   const Page* FindPageCached(Addr addr) const {
     const Addr pn = PageNumber(addr);
     if (pn == rmemo_pn_) return rmemo_page_;
@@ -273,8 +298,8 @@ class Memory {
 
   mutable Addr rmemo_pn_ = kNoMemo;
   mutable const Page* rmemo_page_ = nullptr;
-  Addr wmemo_pn_ = kNoMemo;
-  Page* wmemo_page_ = nullptr;
+  mutable Addr wmemo_pn_ = kNoMemo;  // dropped by a CopyFrom that reads us
+  mutable Page* wmemo_page_ = nullptr;
 
   std::array<std::unique_ptr<Leaf>, kFanout> dir_;
   std::size_t page_count_ = 0;

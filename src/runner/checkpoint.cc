@@ -356,47 +356,62 @@ std::string CheckpointPath(const std::string& dir, const CheckpointKey& key) {
   return dir + "/" + hex + ".spck";
 }
 
-FastForwardResult FastForward(const Program& prog, const CheckpointKey& key) {
-  // Latencies don't affect tag/LRU or predictor contents, so the defaults
-  // are fine regardless of which latency sweep the timed run belongs to.
+namespace {
+
+// Latencies don't affect tag/LRU or predictor contents, so the default
+// latencies serve whichever latency sweep the timed run belongs to.
+HierarchyConfig WarmingHierarchy(const CacheConfig& l1d,
+                                 const CacheConfig& l2) {
   HierarchyConfig hcfg;
-  hcfg.l1d = key.l1d;
-  hcfg.l2 = key.l2;
-  MemoryHierarchy hier(hcfg);
-  BranchPredictor bpred(key.bpred);
-  Emulator emu(prog);
+  hcfg.l1d = l1d;
+  hcfg.l2 = l2;
+  return hcfg;
+}
 
-  FastForwardResult out;
-  while (!emu.halted() && !emu.faulted() && out.executed < key.ff_instrs) {
-    const StepInfo info = emu.Step();
-    if (emu.faulted()) break;  // wild PC: stop warming, keep what we have
-    ++out.executed;
-    // Mirror the timed core's warming protocol: every data access walks
-    // the hierarchy (WarmData — tag/LRU updates without the latency/MSHR
-    // bookkeeping a WarmState doesn't carry), every control instruction
-    // is predicted at fetch and trained at commit (Predict also maintains
-    // the RAS speculatively; on the functional path fetch and commit
-    // coincide).
-    if (info.result.is_load || info.result.is_store) {
-      hier.WarmData(info.result.mem_addr, info.result.is_store, kMainThread);
+}  // namespace
+
+Warmer::Warmer(const Program& prog, const CacheConfig& l1d,
+               const CacheConfig& l2, const BpredConfig& bpred)
+    : hier_(WarmingHierarchy(l1d, l2)), bpred_(bpred), emu_(prog) {}
+
+std::uint64_t Warmer::Advance(std::uint64_t n) {
+  return emu_.Run(n, [this](Pc pc, const Instruction& instr,
+                            const ExecResult& res) {
+    // Every data access walks the hierarchy (WarmData — tag/LRU updates
+    // without the latency/MSHR bookkeeping a WarmState doesn't carry);
+    // every control instruction is predicted at fetch and trained at
+    // commit (Predict also maintains the RAS speculatively).
+    if (res.is_load || res.is_store) {
+      hier_.WarmData(res.mem_addr, res.is_store, kMainThread);
     }
-    if (info.result.is_control) {
-      bpred.Predict(info.pc, info.instr);
-      bpred.Update(info.pc, info.instr, info.result.taken,
-                   info.result.next_pc);
+    if (res.is_control) {
+      bpred_.Predict(pc, instr);
+      bpred_.Update(pc, instr, res.taken, res.next_pc);
     }
+  });
+}
+
+WarmState Warmer::Snapshot() const {
+  WarmState ws;
+  for (int i = 0; i < kNumIntRegs; ++i) {
+    ws.iregs[i] = emu_.ReadIntReg(IntReg(i));
   }
+  for (int i = 0; i < kNumFpRegs; ++i) ws.fregs[i] = emu_.ReadFpReg(FpReg(i));
+  ws.pc = emu_.pc();
+  ws.warmed_instrs = emu_.icount();
+  ws.halted = emu_.halted();
+  ws.mem.CopyFrom(emu_.memory());
+  ws.l1d = hier_.l1d().SaveState();
+  ws.l2 = hier_.l2().SaveState();
+  ws.bpred = bpred_.SaveState();
+  return ws;
+}
 
-  WarmState& ws = out.state;
-  for (int i = 0; i < kNumIntRegs; ++i) ws.iregs[i] = emu.ReadIntReg(IntReg(i));
-  for (int i = 0; i < kNumFpRegs; ++i) ws.fregs[i] = emu.ReadFpReg(FpReg(i));
-  ws.pc = emu.pc();
-  ws.warmed_instrs = out.executed;
-  ws.halted = emu.halted();
-  ws.mem.CopyFrom(emu.memory());
-  ws.l1d = hier.l1d().SaveState();
-  ws.l2 = hier.l2().SaveState();
-  ws.bpred = bpred.SaveState();
+FastForwardResult FastForward(const Program& prog, const CheckpointKey& key) {
+  Warmer warmer(prog, key.l1d, key.l2, key.bpred);
+  FastForwardResult out;
+  out.executed = warmer.Advance(key.ff_instrs);
+  out.state = warmer.Snapshot();
   return out;
 }
 
@@ -463,7 +478,7 @@ WarmState CheckpointTree::MaterializeChild(std::size_t i) const {
   ws.pc = c.pc;
   ws.warmed_instrs = c.start_icount;
   ws.halted = false;  // a halted point is never snapshotted as a child
-  ws.mem.CopyFrom(root.mem);
+  ws.mem.CopyFrom(root.mem);  // shared copy-on-write; deltas replace pages
   for (const auto& [pn, bytes] : c.delta_pages) {
     ws.mem.InstallPage(pn, bytes.data());
   }
@@ -481,12 +496,13 @@ void CheckpointTree::AddChild(const WarmState& ws) {
   c.pc = ws.pc;
   // Pages only ever appear (the sparse Memory never frees), so the child's
   // page set is a superset of the root's: store each page that the root
-  // lacks or whose bytes changed.
+  // lacks or whose bytes changed. A page still shared copy-on-write with
+  // the root is unchanged without comparing bytes.
   for (Addr pn : ws.mem.PageNumbers()) {
     const std::uint8_t* cur = ws.mem.PageData(pn);
     const std::uint8_t* base = root.mem.PageData(pn);
     if (base != nullptr &&
-        std::memcmp(cur, base, Memory::kPageSize) == 0) {
+        (base == cur || std::memcmp(cur, base, Memory::kPageSize) == 0)) {
       continue;
     }
     c.delta_pages.emplace_back(

@@ -5,8 +5,12 @@
 //
 // FastForward() runs the functional emulator for N instructions while
 // warming a private cache hierarchy and branch predictor of the target
-// geometry; the resulting WarmState transfers into a timed Core via
-// Core::InstallWarmState. Save/Load serialize WarmState to a versioned
+// geometry (the Warmer below, which the sampled-run orchestrator drives
+// too); the resulting WarmState warm-starts a timed Core (the Core
+// constructor's `warm` argument, or Core::InstallWarmState on a core
+// constructed cold). Its memory image is shared copy-on-write with the
+// warmer's and the core's, so handing it on copies no pages.
+// Save/Load serialize WarmState to a versioned
 // binary file in a content-addressed cache directory, keyed by the warmup
 // inputs plus the cache/predictor geometry (the only config knobs the warm
 // state depends on — latencies, IFQ size etc. do not change it, so one
@@ -34,6 +38,7 @@
 #include "isa/program.h"
 #include "isa/regs.h"
 #include "mem/hierarchy.h"
+#include "sim/emulator.h"
 
 namespace spear::runner {
 
@@ -68,15 +73,46 @@ std::string KeyString(const CheckpointKey& key);
 // Content-addressed path inside `dir`: <fnv1a64(KeyString)>.spck.
 std::string CheckpointPath(const std::string& dir, const CheckpointKey& key);
 
+// The one functional warming routine, shared by FastForward and the
+// sampled-run orchestrator (src/sampling). The program runs block-at-a-
+// time on the Emulator (Emulator::Run with a per-instruction observer),
+// routing every data access through a private cache hierarchy and every
+// control instruction through a branch predictor of the target geometry
+// (predict at fetch, train at commit — the protocol the timed core
+// follows; on the functional path fetch and commit coincide).
+class Warmer {
+ public:
+  Warmer(const Program& prog, const CacheConfig& l1d, const CacheConfig& l2,
+         const BpredConfig& bpred);
+
+  // Executes up to `n` more instructions, warming as it goes. Returns the
+  // number executed: < n iff the program halted, or its PC left the text
+  // section (faulted(); the faulting fetch executes nothing and is not
+  // counted).
+  std::uint64_t Advance(std::uint64_t n);
+
+  bool halted() const { return emu_.halted(); }
+  bool faulted() const { return emu_.faulted(); }
+
+  // The current state as a WarmState (warmed_instrs = instructions
+  // executed so far). The memory image is shared copy-on-write, so a
+  // snapshot costs one reference per page and later Advance calls clone
+  // only the pages they write.
+  WarmState Snapshot() const;
+
+ private:
+  MemoryHierarchy hier_;
+  BranchPredictor bpred_;
+  Emulator emu_;
+};
+
 struct FastForwardResult {
   WarmState state;
   std::uint64_t executed = 0;  // < ff_instrs iff the program halted early
 };
 
-// Executes `ff_instrs` instructions of `prog` on the functional emulator,
-// routing every data access through a cache hierarchy and every control
-// instruction through a branch predictor of the key's geometry (predict at
-// fetch, train at commit — the same protocol the timed core follows).
+// Executes `ff_instrs` instructions of `prog` on a Warmer of the key's
+// cache and predictor geometry and returns its snapshot.
 FastForwardResult FastForward(const Program& prog, const CheckpointKey& key);
 
 // Serializes `state` to CheckpointPath(dir, key), creating `dir` if
@@ -111,7 +147,9 @@ bool IsCheckpointVersionMismatch(const std::string& error);
 // differ from the root's image; registers, cache tags and predictor
 // tables are small and stored whole). Restoring the tree replays the
 // detailed intervals without re-running the functional gaps, making a
-// sampled row resumable and farm-cacheable per interval.
+// sampled row resumable and farm-cacheable per interval. In memory, a
+// child materializes by sharing the root's pages copy-on-write and
+// replacing only its delta pages.
 
 // Inputs that determine a checkpoint tree, and therefore its cache key:
 // the flat warmup key plus the sampled-region budget and the sampling

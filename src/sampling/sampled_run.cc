@@ -4,70 +4,11 @@
 #include <memory>
 #include <vector>
 
-#include "bpred/bpred.h"
 #include "common/check.h"
 #include "cosim/cosim.h"
-#include "mem/hierarchy.h"
-#include "sim/emulator.h"
 
 namespace spear::sampling {
 namespace {
-
-// Functional substrate: the plain binary on the Emulator plus a private
-// cache hierarchy and branch predictor of the target geometry, warmed
-// with the exact protocol the flat fast-forward uses (checkpoint.cc).
-class Substrate {
- public:
-  Substrate(const Program& prog, const CoreConfig& config)
-      : hier_(config.mem), bpred_(config.bpred), emu_(prog) {}
-
-  // Executes up to `n` instructions, warming caches and predictor.
-  // Returns the number actually executed (< n iff the program halted or
-  // faulted).
-  std::uint64_t Advance(std::uint64_t n) {
-    std::uint64_t done = 0;
-    while (!emu_.halted() && !emu_.faulted() && done < n) {
-      const StepInfo info = emu_.Step();
-      ++done;
-      if (info.result.is_load || info.result.is_store) {
-        hier_.WarmData(info.result.mem_addr, info.result.is_store,
-                       kMainThread);
-      }
-      if (info.result.is_control) {
-        bpred_.Predict(info.pc, info.instr);
-        bpred_.Update(info.pc, info.instr, info.result.taken,
-                      info.result.next_pc);
-      }
-    }
-    return done;
-  }
-
-  bool halted() const { return emu_.halted(); }
-  bool faulted() const { return emu_.faulted(); }
-
-  WarmState Snapshot() const {
-    WarmState ws;
-    for (int i = 0; i < kNumIntRegs; ++i) {
-      ws.iregs[i] = emu_.ReadIntReg(IntReg(i));
-    }
-    for (int i = 0; i < kNumFpRegs; ++i) {
-      ws.fregs[i] = emu_.ReadFpReg(FpReg(i));
-    }
-    ws.pc = emu_.pc();
-    ws.warmed_instrs = emu_.icount();
-    ws.halted = emu_.halted();
-    ws.mem.CopyFrom(emu_.memory());
-    ws.l1d = hier_.l1d().SaveState();
-    ws.l2 = hier_.l2().SaveState();
-    ws.bpred = bpred_.SaveState();
-    return ws;
-  }
-
- private:
-  MemoryHierarchy hier_;
-  BranchPredictor bpred_;
-  Emulator emu_;
-};
 
 // Counter snapshot diffed across the measured window.
 struct Counters {
@@ -152,9 +93,10 @@ IntervalOutcome RunDetailedInterval(const Program& timed,
   IntervalOutcome out;
   // Per-interval cores share the orchestrator's decoded-block cache: the
   // program and PT never change across intervals, so every core after the
-  // first warm-attaches and fetches from already-built blocks.
-  Core core(timed, config, bcache);
-  core.InstallWarmState(ws);
+  // first warm-attaches and fetches from already-built blocks. The core
+  // is warm-started, so it shares the snapshot's pages copy-on-write
+  // instead of loading the program image and copying the snapshot's.
+  Core core(timed, config, bcache, &ws);
   if (checker != nullptr) {
     checker->SyncToWarmState(ws);
     core.set_cosim(checker);
@@ -207,11 +149,11 @@ SampledStats RunSampled(const Program& plain, const Program& timed,
                         const SamplingPlan& plan, std::uint64_t ff_instrs,
                         runner::CheckpointTree* tree_out) {
   SPEAR_CHECK(plan.enabled());
-  Substrate sub(plain, config);
-  sub.Advance(ff_instrs);
+  runner::Warmer warmer(plain, config.mem.l1d, config.mem.l2, config.bpred);
+  warmer.Advance(ff_instrs);
   if (tree_out != nullptr) {
     *tree_out = runner::CheckpointTree{};
-    tree_out->root = sub.Snapshot();
+    tree_out->root = warmer.Snapshot();
   }
 
   std::unique_ptr<cosim::CosimChecker> checker;
@@ -223,8 +165,8 @@ SampledStats RunSampled(const Program& plain, const Program& timed,
   telemetry::Distribution ifq;
   bool ifq_init = false;
   std::uint64_t covered = 0;
-  bool halted = sub.halted();  // halted during fast-forward: empty region
-  bool incomplete = sub.faulted();  // wild PC during fast-forward
+  bool halted = warmer.halted();  // halted during fast-forward: empty region
+  bool incomplete = warmer.faulted();  // wild PC during fast-forward
   BlockCache core_cache;  // shared by every detailed interval's core
 
   const std::uint64_t budget = options.sim_instrs;
@@ -235,7 +177,7 @@ SampledStats RunSampled(const Program& plain, const Program& timed,
     // children with the same full-window budget, so both paths measure
     // identical windows.
     if (remaining >= plan.warmup + plan.detail) {
-      const WarmState ws = sub.Snapshot();
+      const WarmState ws = warmer.Snapshot();
       const IntervalOutcome o =
           RunDetailedInterval(timed, config, plan, options.max_cycles, ws,
                               checker.get(), &ifq, &ifq_init, &core_cache);
@@ -249,11 +191,11 @@ SampledStats RunSampled(const Program& plain, const Program& timed,
     }
     const std::uint64_t stride = std::min<std::uint64_t>(plan.period,
                                                          remaining);
-    covered += sub.Advance(stride);
-    halted = sub.halted();
-    // A substrate fault (PC left the text section) makes the remaining
+    covered += warmer.Advance(stride);
+    halted = warmer.halted();
+    // A warming fault (PC left the text section) makes the remaining
     // region unmeasurable: surface it as an incomplete run, not a hang.
-    if (sub.faulted()) incomplete = true;
+    if (warmer.faulted()) incomplete = true;
   }
 
   if (tree_out != nullptr) {

@@ -2,14 +2,17 @@
 // execution with short detailed intervals on the timed core, per a
 // SamplingPlan.
 //
-// The functional substrate mirrors the fast-forward warming protocol
-// exactly (checkpoint.cc FastForward): the plain binary steps on the
-// Emulator while a private cache hierarchy and branch predictor of the
-// target geometry warm alongside. At each interval start the substrate's
-// state snapshots into a WarmState, a *fresh* timed Core installs it
-// (warm state is only legal at cycle 0), runs `warmup` detailed-but-
-// unmeasured instructions, then `detail` measured ones; counters are
-// diffed across the measured window into an IntervalSample.
+// The functional substrate is the fast-forward's own warming routine
+// (runner::Warmer, src/runner/checkpoint.h): the plain binary runs
+// block-at-a-time on the Emulator while a private cache hierarchy and
+// branch predictor of the target geometry warm alongside. At each
+// interval start the warmer's state snapshots into a WarmState, a
+// *fresh* timed Core is constructed warm-started from it (warm state is
+// only legal at cycle 0), runs `warmup` detailed-but-unmeasured
+// instructions, then `detail` measured ones; counters are diffed across
+// the measured window into an IntervalSample. Snapshot and core share
+// the warmer's memory pages copy-on-write, so an interval's host cost
+// follows the instructions it simulates, not the size of the image.
 //
 // The substrate executes the plain binary and never sees p-thread or
 // wrong-path perturbations; the detailed warmup window absorbs the
@@ -44,7 +47,9 @@ namespace spear::sampling {
 // root, one child per detailed interval, and the region coverage — ready
 // for SaveCheckpointTree. If the program halts during fast-forward the
 // result has covered_instrs == 0, halted == true and no samples (and
-// tree_out->root.halted is set).
+// tree_out->root.halted is set). covered_instrs counts instructions
+// executed: if the PC leaves the text section, the faulting fetch is not
+// counted and the result is incomplete.
 SampledStats RunSampled(const Program& plain, const Program& timed,
                         const CoreConfig& config, const EvalOptions& options,
                         const SamplingPlan& plan, std::uint64_t ff_instrs,

@@ -1,18 +1,21 @@
 // Architectural-state functional emulator.
 //
-// Three roles:
+// Four roles:
 //   1. Reference semantics — the oracle the pipeline integration tests
-//      compare final register/output state against.
+//      and lockstep cosim compare against.
 //   2. Substrate for the SPEAR profiling tool (per-step observation hook).
-//   3. Fast workload validation during development.
+//   3. The functional substrate fast-forward and sampling warm on.
+//   4. Fast workload validation during development.
 //
 // Run() executes block-at-a-time through a decoded basic-block cache
 // (sim/block_cache.h): one cache lookup per straight-line run instead of a
-// PC containment check and text-table probe per instruction. Step() keeps
-// the per-instruction observation contract the profiler/cosim/warming
-// consumers need. Semantics stay single-sourced in ExecuteInstruction —
-// the cache only stores decode/classification results, so the two paths
-// cannot diverge.
+// PC containment check and text-table probe per instruction. An optional
+// per-instruction observer rides on that loop, which is how the
+// fast-forward/sampling warming routine (runner::Warmer) sees every
+// retired instruction at block-dispatch speed. Step() keeps the
+// one-instruction-per-call contract the profiler and lockstep cosim need.
+// Semantics stay single-sourced in ExecuteInstruction — the cache only
+// stores decode/classification results, so the two paths cannot diverge.
 #pragma once
 
 #include <array>
@@ -106,11 +109,22 @@ class Emulator {
   }
 
   // Runs until halt, fault, or the instruction budget is exhausted.
-  // Returns the number of instructions executed by this call. Flattened:
+  // Returns the number of instructions executed by this call; the fetch
+  // that finds an out-of-text PC executes nothing and is not counted.
+  std::uint64_t Run(std::uint64_t max_instrs) {
+    return Run(max_instrs, [](Pc, const Instruction&, const ExecResult&) {});
+  }
+
+  // As Run(max_instrs), calling `observe(pc, instr, result)` after every
+  // executed instruction (the HALT included), in program order. The
+  // observer is inlined into the block loop, so the observer-free Run
+  // above pays nothing for it. Flattened:
   // ExecuteInstruction must inline here so the per-instruction ExecResult
   // never materializes in memory.
-  SPEAR_FLATTEN std::uint64_t Run(std::uint64_t max_instrs) {
-    if (!kBlockCacheEnabled) return RunPerInstruction(max_instrs);
+  template <typename Observer>
+  SPEAR_FLATTEN std::uint64_t Run(std::uint64_t max_instrs,
+                                  Observer&& observe) {
+    if (!kBlockCacheEnabled) return RunPerInstruction(max_instrs, observe);
     BlockCache& bc = EnsureCache();
     std::uint64_t n = 0;
     ArchState st{this};
@@ -127,8 +141,10 @@ class Emulator {
       Pc pc = pc_;
       std::uint32_t i = 0;
       while (i < take) {
-        const ExecResult res = ExecuteInstruction(st, b.recs[i].instr, pc);
+        const Instruction& instr = b.recs[i].instr;
+        const ExecResult res = ExecuteInstruction(st, instr, pc);
         ++i;
+        observe(pc, instr, res);
         pc = res.next_pc;
         if (res.out_value) outputs_.push_back(*res.out_value);
         if (res.halted) {
@@ -146,7 +162,8 @@ class Emulator {
   // Re-seats the emulator at an externally produced architectural state
   // (a functional fast-forward or a restored checkpoint), so it can shadow
   // a warm-started core from the switch point onward. `icount` is the
-  // instruction count already consumed producing that state.
+  // instruction count already consumed producing that state. `mem` is
+  // shared copy-on-write, not copied (mem/memory.h).
   void Restore(const std::array<std::uint32_t, kNumIntRegs>& iregs,
                const std::array<double, kNumFpRegs>& fregs, Pc pc,
                const Memory& mem, std::uint64_t icount) {
@@ -188,11 +205,15 @@ class Emulator {
 
   // Legacy per-instruction loop: the compiled-out fallback for
   // -DSPEAR_ENABLE_BLOCK_CACHE=0 builds (kept compiled unconditionally).
-  std::uint64_t RunPerInstruction(std::uint64_t max_instrs) {
+  template <typename Observer>
+  std::uint64_t RunPerInstruction(std::uint64_t max_instrs,
+                                  Observer& observe) {
     std::uint64_t n = 0;
     while (!halted_ && !faulted_ && n < max_instrs) {
-      Step();
-      if (!faulted_) ++n;
+      const StepInfo info = Step();
+      if (faulted_) break;
+      ++n;
+      observe(info.pc, info.instr, info.result);
     }
     return n;
   }

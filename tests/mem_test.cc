@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "cpu/config.h"
+#include "cpu/core.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/memory.h"
+#include "runner/checkpoint.h"
+#include "sim/emulator.h"
+#include "telemetry/registry.h"
+#include "workloads/workload.h"
 
 namespace spear {
 namespace {
@@ -53,6 +62,201 @@ TEST(Memory, LoadProgramInstallsSegments) {
   Memory mem;
   mem.LoadProgram(prog);
   EXPECT_EQ(mem.ReadU32(0x5008), 99u);
+}
+
+// --- copy-on-write sharing (CopyFrom) ---
+
+// Every allocated page of `mem`, by number, as bytes.
+std::vector<std::pair<Addr, std::vector<std::uint8_t>>> Pages(
+    const Memory& mem) {
+  std::vector<std::pair<Addr, std::vector<std::uint8_t>>> out;
+  for (Addr pn : mem.PageNumbers()) {
+    const std::uint8_t* p = mem.PageData(pn);
+    out.emplace_back(pn, std::vector<std::uint8_t>(p, p + Memory::kPageSize));
+  }
+  return out;
+}
+
+void ExpectPageSetsAgree(const Memory& m) {
+  EXPECT_EQ(m.AllocatedPages(), m.PageNumbers().size());
+}
+
+struct CowWrite {
+  std::string name;
+  std::function<void(Memory&)> write;
+  std::function<bool(const Memory&)> sees_write;
+};
+
+// One write of each kind, all landing at 0x10004 (page 0x10), which the
+// source image holds before the share.
+std::vector<CowWrite> CowWrites() {
+  static const std::vector<std::uint8_t> block(64, 0xab);
+  static const std::vector<std::uint8_t> page(Memory::kPageSize, 0xcd);
+  return {
+      {"U8", [](Memory& m) { m.WriteU8(0x10004, 0x7f); },
+       [](const Memory& m) { return m.ReadU8(0x10004) == 0x7f; }},
+      {"U32", [](Memory& m) { m.WriteU32(0x10004, 0xdeadbeef); },
+       [](const Memory& m) { return m.ReadU32(0x10004) == 0xdeadbeefu; }},
+      {"U64",
+       [](Memory& m) { m.WriteU64(0x10004, 0x0123456789abcdefull); },
+       [](const Memory& m) {
+         return m.ReadU64(0x10004) == 0x0123456789abcdefull;
+       }},
+      {"F64", [](Memory& m) { m.WriteF64(0x10004, -2.5); },
+       [](const Memory& m) { return m.ReadF64(0x10004) == -2.5; }},
+      {"Block",
+       [](Memory& m) { m.WriteBlock(0x10004, block.data(), block.size()); },
+       [](const Memory& m) { return m.ReadU8(0x10004 + 63) == 0xab; }},
+      {"InstallPage", [](Memory& m) { m.InstallPage(0x10, page.data()); },
+       [](const Memory& m) { return m.ReadU8(0x10004) == 0xcd; }},
+  };
+}
+
+Memory CowSource() {
+  Memory m;
+  m.WriteU32(0x10000, 0x11111111);
+  m.WriteU32(0x10004, 0x22222222);
+  m.WriteU32(0x20000, 0x33333333);
+  return m;
+}
+
+TEST(MemoryCow, WriteThroughEitherSideStaysInvisibleToTheOther) {
+  for (const CowWrite& w : CowWrites()) {
+    for (const bool write_source : {true, false}) {
+      SCOPED_TRACE(w.name + (write_source ? " via source" : " via copy"));
+      Memory a = CowSource();
+      Memory b;
+      b.CopyFrom(a);
+      Memory& writer = write_source ? a : b;
+      const Memory& other = write_source ? b : a;
+      const auto before = Pages(other);
+
+      w.write(writer);
+      EXPECT_TRUE(w.sees_write(writer));
+      EXPECT_FALSE(w.sees_write(other));
+      EXPECT_EQ(Pages(other), before);
+
+      // Both sides keep the same page set; neither lost or gained pages.
+      EXPECT_EQ(a.PageNumbers(), b.PageNumbers());
+      EXPECT_EQ(a.AllocatedPages(), 2u);
+      ExpectPageSetsAgree(a);
+      ExpectPageSetsAgree(b);
+    }
+  }
+}
+
+TEST(MemoryCow, NewPageOnOneSideDoesNotAppearOnTheOther) {
+  Memory a = CowSource();
+  Memory b;
+  b.CopyFrom(a);
+  b.WriteU32(0x900000, 5);
+  EXPECT_EQ(a.ReadU32(0x900000), 0u);
+  EXPECT_EQ(a.AllocatedPages(), 2u);
+  EXPECT_EQ(b.AllocatedPages(), 3u);
+  ExpectPageSetsAgree(a);
+  ExpectPageSetsAgree(b);
+}
+
+TEST(MemoryCow, SourceWriteMemoIsDroppedWhenItsPagesAreShared) {
+  // The source writes a page just before the share, so its write memo
+  // names that page; the write after the share must clone, not write
+  // through the memo into the page the copy now shares.
+  Memory a;
+  a.WriteU32(0x4000, 1);
+  Memory b;
+  b.CopyFrom(a);
+  a.WriteU32(0x4008, 2);
+  EXPECT_EQ(a.ReadU32(0x4008), 2u);
+  EXPECT_EQ(b.ReadU32(0x4008), 0u);
+  EXPECT_EQ(b.ReadU32(0x4000), 1u);
+  // And a second share of the same page after the clone.
+  Memory c;
+  c.CopyFrom(a);
+  a.WriteU32(0x400c, 3);
+  EXPECT_EQ(c.ReadU32(0x400c), 0u);
+  EXPECT_EQ(c.ReadU32(0x4008), 2u);
+}
+
+TEST(MemoryCow, ReadWriteReadOnTheCloningSide) {
+  for (const bool clone_source : {true, false}) {
+    SCOPED_TRACE(clone_source ? "source clones" : "copy clones");
+    Memory a;
+    a.WriteU32(0x5000, 7);
+    Memory b;
+    b.CopyFrom(a);
+    Memory& cloner = clone_source ? a : b;
+    const Memory& other = clone_source ? b : a;
+    EXPECT_EQ(cloner.ReadU32(0x5000), 7u);  // read memo: the shared page
+    cloner.WriteU32(0x5000, 8);             // clones the page
+    EXPECT_EQ(cloner.ReadU32(0x5000), 8u);  // read memo follows the clone
+    EXPECT_EQ(other.ReadU32(0x5000), 7u);
+    cloner.WriteU32(0x5004, 9);  // the clone is private: no second clone
+    EXPECT_EQ(cloner.ReadU32(0x5004), 9u);
+    EXPECT_EQ(other.ReadU32(0x5004), 0u);
+  }
+}
+
+TEST(MemoryCow, CopyFromReplacesPreviousContents) {
+  Memory a = CowSource();
+  Memory b;
+  b.WriteU32(0x700000, 1);  // a page the source lacks
+  EXPECT_EQ(b.ReadU32(0x700000), 1u);
+  b.CopyFrom(a);
+  EXPECT_EQ(b.ReadU32(0x700000), 0u);
+  EXPECT_EQ(b.PageNumbers(), a.PageNumbers());
+  EXPECT_EQ(Pages(b), Pages(a));
+  b.CopyFrom(b);  // self-copy is a no-op
+  EXPECT_EQ(Pages(b), Pages(a));
+}
+
+// Two cores warm-started in turn from one WarmState (the benchmark's
+// calibration and RunSampledFromTree both reuse one state this way) must
+// behave identically, match a construct-then-install core, and leave the
+// state's pages byte-identical.
+TEST(MemoryCow, CoresWarmStartedFromOneStateLeaveItUntouched) {
+  WorkloadConfig wc;
+  wc.seed = 42;
+  const Program prog = BuildWorkloadProgram("matrix", wc);
+  const CoreConfig cfg = BaselineConfig(128);
+  runner::CheckpointKey key;
+  key.workload = "matrix";
+  key.ff_instrs = 20'000;
+  key.l1d = cfg.mem.l1d;
+  key.l2 = cfg.mem.l2;
+  key.bpred = cfg.bpred;
+  const runner::FastForwardResult ff = runner::FastForward(prog, key);
+  const WarmState& ws = ff.state;
+  const auto before = Pages(ws.mem);
+  constexpr std::uint64_t kInstrs = 20'000;
+
+  // The window stores to memory: a functional run over it dirties pages
+  // shared with the state.
+  Emulator probe(prog);
+  probe.Restore(ws.iregs, ws.fregs, ws.pc, ws.mem, ws.warmed_instrs);
+  probe.Run(kInstrs);
+  EXPECT_NE(Pages(probe.memory()), before);
+  EXPECT_EQ(Pages(ws.mem), before);
+
+  auto stats = [](const Core& core) {
+    telemetry::StatRegistry reg;
+    core.RegisterStats(reg);
+    return reg.Json().Dump(2);
+  };
+  Core first(prog, cfg, nullptr, &ws);
+  first.Run(kInstrs);
+  EXPECT_EQ(Pages(ws.mem), before);
+  Core second(prog, cfg, nullptr, &ws);
+  second.Run(kInstrs);
+  EXPECT_EQ(Pages(ws.mem), before);
+  Core installed(prog, cfg);
+  installed.InstallWarmState(ws);
+  installed.Run(kInstrs);
+  EXPECT_EQ(Pages(ws.mem), before);
+
+  EXPECT_GE(first.stats().committed, kInstrs);
+  EXPECT_EQ(stats(first), stats(second));
+  EXPECT_EQ(stats(first), stats(installed));
+  EXPECT_EQ(first.outputs(), second.outputs());
 }
 
 CacheConfig SmallCache() {

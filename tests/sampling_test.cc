@@ -12,9 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "cpu/config.h"
+#include "isa/assembler.h"
 #include "runner/manifest.h"
 #include "runner/runner.h"
+#include "sampling/sampled_run.h"
 #include "sampling/sampling.h"
+#include "sim/emulator.h"
 
 namespace spear::sampling {
 namespace {
@@ -273,6 +277,47 @@ TEST(SampledRunnerTest, FreshAndTreeRestoredDocumentsMatchModuloRun) {
     EXPECT_TRUE(row.FindPath("stats.complete")->AsBool());
   }
   EXPECT_GT(cold.document.FindPath("derived.spd")->AsDouble(), 0.0);
+}
+
+// --- coverage when the PC leaves the text section ---
+
+TEST(SampledRunnerTest, FaultingRegionCountsOnlyExecutedInstructions) {
+  // A 5000-iteration loop, then a jump to an address outside the text:
+  // 1 + 2*5000 + 2 instructions execute before the wild fetch.
+  Program prog;
+  Assembler a(&prog);
+  const Label loop = a.NewLabel();
+  a.li(r(1), 5000);
+  a.Bind(loop);
+  a.addi(r(1), r(1), -1);
+  a.bne(r(1), r(0), loop);
+  a.li(r(2), 0x00deadb8);  // not a text PC
+  a.jr(r(2));
+  a.halt();  // never reached
+  a.Finish();
+
+  Emulator ref(prog);
+  ref.Run(1'000'000);
+  ASSERT_TRUE(ref.faulted());
+  ASSERT_EQ(ref.icount(), 10'003u);
+
+  constexpr std::uint64_t kFf = 100;
+  EvalOptions options;
+  options.sim_instrs = 1'000'000;  // far beyond the program's end
+  SamplingPlan plan;
+  plan.period = 2'000;
+  plan.detail = 500;
+  plan.warmup = 500;
+  const SampledStats ss =
+      RunSampled(prog, prog, BaselineConfig(), options, plan, kFf);
+
+  // The fetch that finds the wild PC executes nothing, so it is not
+  // covered: 9903 region instructions, not 9904.
+  EXPECT_EQ(ss.covered_instrs, ref.icount() - kFf);
+  EXPECT_EQ(ss.stats.instructions, ss.covered_instrs);
+  EXPECT_FALSE(ss.stats.complete);
+  EXPECT_FALSE(ss.stats.halted);
+  EXPECT_GT(ss.intervals, 0u);
 }
 
 }  // namespace

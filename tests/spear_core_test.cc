@@ -3,6 +3,9 @@
 // with hand-written PThreadSpecs (compiler-independent).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "cpu/core.h"
 #include "isa/assembler.h"
 #include "sim/emulator.h"
@@ -408,11 +411,20 @@ TEST(SpearCore, RecoveryAbortsInFlightSession) {
 
 // Parameterized sweep: SPEAR must preserve semantics for every IFQ size,
 // drain policy and FU arrangement combination.
+//
+// gtest names each case after the raw bytes of its parameter. `name_tag`
+// fills the two bytes that would otherwise be padding, so a case's name no
+// longer depends on leftover stack contents (which shift with the stack's
+// alignment from run to run); its values keep the names the cases are
+// already listed under. The test body does not read it.
 struct SpearVariant {
   std::uint32_t ifq;
   bool separate_fu;
   TriggerDrainPolicy drain;
+  std::uint16_t name_tag;
 };
+static_assert(std::has_unique_object_representations_v<SpearVariant>,
+              "SpearVariant must have no padding: its bytes name the cases");
 
 class SpearVariantTest : public testing::TestWithParam<SpearVariant> {};
 
@@ -436,16 +448,16 @@ TEST_P(SpearVariantTest, OracleExactOnGather) {
 INSTANTIATE_TEST_SUITE_P(
     Variants, SpearVariantTest,
     testing::Values(
-        SpearVariant{128, false, TriggerDrainPolicy::kImmediate},
-        SpearVariant{256, false, TriggerDrainPolicy::kImmediate},
-        SpearVariant{128, true, TriggerDrainPolicy::kImmediate},
-        SpearVariant{256, true, TriggerDrainPolicy::kImmediate},
-        SpearVariant{128, false, TriggerDrainPolicy::kDrainToTrigger},
-        SpearVariant{256, true, TriggerDrainPolicy::kDrainToTrigger},
-        SpearVariant{128, false, TriggerDrainPolicy::kStallDispatch},
-        SpearVariant{256, true, TriggerDrainPolicy::kStallDispatch},
-        SpearVariant{64, false, TriggerDrainPolicy::kImmediate},
-        SpearVariant{512, false, TriggerDrainPolicy::kImmediate}));
+        SpearVariant{128, false, TriggerDrainPolicy::kImmediate, 0},
+        SpearVariant{256, false, TriggerDrainPolicy::kImmediate, 0},
+        SpearVariant{128, true, TriggerDrainPolicy::kImmediate, 0x0009},
+        SpearVariant{256, true, TriggerDrainPolicy::kImmediate, 0xCAC0},
+        SpearVariant{128, false, TriggerDrainPolicy::kDrainToTrigger, 0xCAD0},
+        SpearVariant{256, true, TriggerDrainPolicy::kDrainToTrigger, 0xCAC5},
+        SpearVariant{128, false, TriggerDrainPolicy::kStallDispatch, 0},
+        SpearVariant{256, true, TriggerDrainPolicy::kStallDispatch, 0},
+        SpearVariant{64, false, TriggerDrainPolicy::kImmediate, 0},
+        SpearVariant{512, false, TriggerDrainPolicy::kImmediate, 0}));
 
 }  // namespace
 }  // namespace spear
