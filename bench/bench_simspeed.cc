@@ -5,7 +5,10 @@
 // fast-forward are excluded). The CI gate compares the aggregate against
 // the conservative floor in bench/simspeed_baseline.json and fails on a
 // >15% regression; bench/manifests/simspeed.json describes the same
-// matrix for spearrun (--emit-manifest regenerates it).
+// matrix for spearrun (--emit-manifest regenerates it). --functional
+// times the functional substrate instead: bare Emulator::Run, the
+// warming routine, and the post-compiler's profiling pass, gated against
+// functional_mips, warmed_mips and profiled_mips.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,7 +16,10 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/cfg.h"
+#include "analysis/loops.h"
 #include "bench_common.h"
+#include "compiler/profiler.h"
 #include "runner/checkpoint.h"
 #include "sim/emulator.h"
 #include "tool_flags.h"
@@ -90,9 +96,10 @@ int main(int argc, char** argv) {
        {"manifest-dir", "where --emit-manifest writes "
                         "(default bench/manifests)"},
        {"functional", "time the functional substrate instead of the "
-                      "detailed core: bare Emulator::Run, and the cache/"
+                      "detailed core: bare Emulator::Run, the cache/"
                       "predictor-warming routine fast-forward and "
-                      "sampling run on"},
+                      "sampling run on, and the post-compiler's "
+                      "profiling pass"},
        {"scale", "workload working-set scale factor (default 1)"},
        {"baseline", "simspeed_baseline.json to gate against"},
        {"tolerance", "allowed fractional regression vs the baseline "
@@ -107,19 +114,23 @@ int main(int argc, char** argv) {
   }
 
   if (flags.GetBool("functional")) {
-    // Functional-substrate throughput over the same budget, two ways:
+    // Functional-substrate throughput over the same budget, three ways:
     // bare Emulator::Run (functional_mips, the block-dispatch loop with
-    // nothing attached), and the warming routine fast-forward and the
+    // nothing attached); the warming routine fast-forward and the
     // sampling orchestrator actually run between detailed intervals —
     // the same loop plus cache-hierarchy and branch-predictor warming
-    // (warmed_mips, baseline geometry). The second decides how far
-    // billion-instruction sampled runs can reach.
+    // (warmed_mips, baseline geometry), which decides how far
+    // billion-instruction sampled runs can reach; and ProfileProgram, the
+    // post-compiler's profiling pass every spearrun/spearfarm worker runs
+    // at set-up (profiled_mips, the CFG and loop forest built outside the
+    // timer).
     const CoreConfig geometry = BaselineConfig(128);
     PrintConfigHeader(geometry);
     std::printf("== simspeed --functional: functional substrate "
                 "throughput ==\n");
-    std::printf("%-10s %12s %12s %10s %12s %10s\n", "benchmark", "instrs",
-                "host_ms", "MIPS", "warmed_ms", "warmed");
+    std::printf("%-10s %12s %12s %10s %12s %10s %12s %10s\n", "benchmark",
+                "instrs", "host_ms", "MIPS", "warmed_ms", "warmed",
+                "profiled_ms", "profiled");
 
     auto seconds_since = [](Clock::time_point t0) {
       return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -131,8 +142,10 @@ int main(int argc, char** argv) {
     telemetry::JsonValue rows = telemetry::JsonValue::Array();
     std::uint64_t total_instrs = 0;
     std::uint64_t total_warmed_instrs = 0;
+    std::uint64_t total_profiled_instrs = 0;
     double total_seconds = 0.0;
     double total_warmed_seconds = 0.0;
+    double total_profiled_seconds = 0.0;
     for (const std::string& name : m.workloads) {
       const PreparedWorkload pw = PrepareWorkload(name, ctx.options);
       Emulator emu(pw.plain);
@@ -146,12 +159,24 @@ int main(int argc, char** argv) {
       const std::uint64_t warmed = warmer.Advance(ctx.options.sim_instrs);
       const double warmed_seconds = seconds_since(t0);
 
+      const Cfg cfg = Cfg::Build(pw.plain);
+      const LoopForest loops = LoopForest::Build(cfg);
+      ProfilerOptions popt = ctx.options.compiler.profiler;
+      popt.max_instrs = ctx.options.sim_instrs;
+      t0 = Clock::now();
+      const std::uint64_t profiled =
+          ProfileProgram(pw.plain, cfg, loops, popt).instrs;
+      const double profiled_seconds = seconds_since(t0);
+
       const double mips = mips_of(executed, seconds);
       const double warmed_mips = mips_of(warmed, warmed_seconds);
+      const double profiled_mips = mips_of(profiled, profiled_seconds);
       total_instrs += executed;
       total_seconds += seconds;
       total_warmed_instrs += warmed;
       total_warmed_seconds += warmed_seconds;
+      total_profiled_instrs += profiled;
+      total_profiled_seconds += profiled_seconds;
 
       telemetry::JsonValue row = telemetry::JsonValue::Object();
       row.Set("workload", telemetry::JsonValue(name));
@@ -160,19 +185,25 @@ int main(int argc, char** argv) {
       row.Set("mips", telemetry::JsonValue(mips));
       row.Set("warmed_host_seconds", telemetry::JsonValue(warmed_seconds));
       row.Set("warmed_mips", telemetry::JsonValue(warmed_mips));
+      row.Set("profiled_host_seconds", telemetry::JsonValue(profiled_seconds));
+      row.Set("profiled_mips", telemetry::JsonValue(profiled_mips));
       rows.Append(std::move(row));
-      std::printf("%-10s %12llu %12.1f %10.2f %12.1f %10.2f\n", name.c_str(),
-                  static_cast<unsigned long long>(executed), seconds * 1e3,
-                  mips, warmed_seconds * 1e3, warmed_mips);
+      std::printf("%-10s %12llu %12.1f %10.2f %12.1f %10.2f %12.1f %10.2f\n",
+                  name.c_str(), static_cast<unsigned long long>(executed),
+                  seconds * 1e3, mips, warmed_seconds * 1e3, warmed_mips,
+                  profiled_seconds * 1e3, profiled_mips);
       std::fflush(stdout);
     }
     const double aggregate_mips = mips_of(total_instrs, total_seconds);
     const double aggregate_warmed_mips =
         mips_of(total_warmed_instrs, total_warmed_seconds);
-    std::printf("%-10s %12llu %12.1f %10.2f %12.1f %10.2f\n", "TOTAL",
-                static_cast<unsigned long long>(total_instrs),
+    const double aggregate_profiled_mips =
+        mips_of(total_profiled_instrs, total_profiled_seconds);
+    std::printf("%-10s %12llu %12.1f %10.2f %12.1f %10.2f %12.1f %10.2f\n",
+                "TOTAL", static_cast<unsigned long long>(total_instrs),
                 total_seconds * 1e3, aggregate_mips,
-                total_warmed_seconds * 1e3, aggregate_warmed_mips);
+                total_warmed_seconds * 1e3, aggregate_warmed_mips,
+                total_profiled_seconds * 1e3, aggregate_profiled_mips);
 
     telemetry::JsonValue results = telemetry::JsonValue::Object();
     results.Set("runs", std::move(rows));
@@ -182,13 +213,18 @@ int main(int argc, char** argv) {
     agg.Set("mips", telemetry::JsonValue(aggregate_mips));
     agg.Set("warmed_host_seconds", telemetry::JsonValue(total_warmed_seconds));
     agg.Set("warmed_mips", telemetry::JsonValue(aggregate_warmed_mips));
+    agg.Set("profiled_host_seconds",
+            telemetry::JsonValue(total_profiled_seconds));
+    agg.Set("profiled_mips", telemetry::JsonValue(aggregate_profiled_mips));
     results.Set("aggregate", std::move(agg));
     WriteBenchJson(ctx, "simspeed_functional", std::move(results));
     const int bare =
         GateAgainstBaseline(flags, "functional_mips", aggregate_mips);
     const int warm =
         GateAgainstBaseline(flags, "warmed_mips", aggregate_warmed_mips);
-    return bare != 0 ? bare : warm;
+    const int profile =
+        GateAgainstBaseline(flags, "profiled_mips", aggregate_profiled_mips);
+    return bare != 0 ? bare : warm != 0 ? warm : profile;
   }
 
   PrintConfigHeader(BaselineConfig(128));

@@ -14,11 +14,25 @@
 //     misses accumulate votes (Figure 5).
 //  3. Per-loop expected delay (the d-cycle): average sequential cost of
 //     one iteration, used by the region-based prefetching-range budget.
+//
+// The pass observes Emulator::Run's block-dispatched loop. Per-instruction
+// bookkeeping is flat arrays indexed by text index, and the maps below are
+// built once, after the run; the per-miss walks use a fixed ring, stack
+// and visit stamps, so nothing allocates per instruction or per visit.
+//  - Loop costs are summed as integers per innermost loop and pushed up
+//    the nest at the end. Every cost is an integer latency and the sums
+//    stay far below 2^53, so `total_cost` is bit-identical to adding each
+//    cost to every enclosing loop in double as it happens.
+//  - The store->load table keeps only the stores still inside the window.
+//    A load whose last store has left the window would hand the walk an
+//    out-of-window producer that every later walk skips, so forgetting the
+//    store changes no vote.
+//  - Vote rows are dense over the text: memory is one text-sized row of
+//    counters per static load that misses.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/cfg.h"
@@ -30,7 +44,7 @@ namespace spear {
 struct ProfilerOptions {
   std::uint64_t max_instrs = 2'000'000;
   HierarchyConfig mem;           // profile with the simulator's geometry
-  std::uint32_t window = 512;    // backward-slice window (dynamic records)
+  std::uint32_t window = 512;    // backward-slice window (dynamic records, >= 1)
   bool memory_deps = true;       // chase store->load address dependencies
 };
 
@@ -38,7 +52,6 @@ struct LoadProfile {
   Pc pc = 0;
   std::uint64_t execs = 0;
   std::uint64_t l1_misses = 0;
-  std::uint64_t l2_misses = 0;
 };
 
 struct LoopProfile {

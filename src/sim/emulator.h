@@ -3,7 +3,7 @@
 // Four roles:
 //   1. Reference semantics — the oracle the pipeline integration tests
 //      and lockstep cosim compare against.
-//   2. Substrate for the SPEAR profiling tool (per-step observation hook).
+//   2. Substrate for the SPEAR profiling tool (per-instruction observer).
 //   3. The functional substrate fast-forward and sampling warm on.
 //   4. Fast workload validation during development.
 //
@@ -11,9 +11,10 @@
 // (sim/block_cache.h): one cache lookup per straight-line run instead of a
 // PC containment check and text-table probe per instruction. An optional
 // per-instruction observer rides on that loop, which is how the
-// fast-forward/sampling warming routine (runner::Warmer) sees every
+// post-compiler's profiling pass (ProfileProgram) and the
+// fast-forward/sampling warming routine (runner::Warmer) see every
 // retired instruction at block-dispatch speed. Step() keeps the
-// one-instruction-per-call contract the profiler and lockstep cosim need.
+// one-instruction-per-call contract lockstep cosim needs.
 // Semantics stay single-sourced in ExecuteInstruction — the cache only
 // stores decode/classification results, so the two paths cannot diverge.
 #pragma once
@@ -32,8 +33,8 @@
 
 namespace spear {
 
-// Everything an observer (e.g. the profiler) can learn about one retired
-// instruction.
+// Everything Step() reports about one retired instruction (Run()'s
+// observer gets the same facts as separate arguments).
 struct StepInfo {
   Pc pc = 0;
   Instruction instr;

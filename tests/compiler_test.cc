@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "analysis/cfg.h"
 #include "analysis/loops.h"
@@ -13,6 +17,7 @@
 #include "isa/assembler.h"
 #include "sim/emulator.h"
 #include "test_programs.h"
+#include "workloads/workload.h"
 
 namespace spear {
 namespace {
@@ -251,6 +256,170 @@ TEST(Profiler, RespectsInstructionBudget) {
   opt.max_instrs = 10'000;
   const ProfileResult prof = ProfileProgram(g.prog, cfg, lf, opt);
   EXPECT_EQ(prof.instrs, 10'000u);
+}
+
+TEST(Profiler, WildJumpProfilesOnlyExecutedInstructions) {
+  // Ten iterations of a loop with one load, then a jr to a PC outside the
+  // text: the faulting fetch executes nothing and is not counted.
+  Program prog;
+  prog.AddSegment(0x200000, 4096);
+  Assembler a(&prog);
+  Label loop = a.NewLabel();
+  a.li(r(1), 10);
+  a.la(r(3), 0x200000);
+  a.Bind(loop);
+  const Pc load_pc = a.Here();
+  a.lw(r(2), r(3), 0);
+  a.addi(r(1), r(1), -1);
+  a.bne(r(1), r(0), loop);
+  a.li(r(4), 0x10);
+  a.jr(r(4));
+  a.Finish();
+
+  const Cfg cfg = Cfg::Build(prog);
+  const LoopForest lf = LoopForest::Build(cfg);
+  const ProfileResult prof = ProfileProgram(prog, cfg, lf, ProfilerOptions{});
+  EXPECT_EQ(prof.instrs, 2u + 10u * 3u + 2u);
+  Emulator emu(prog);
+  EXPECT_EQ(emu.Run(1'000'000), prof.instrs);
+  EXPECT_TRUE(emu.faulted());
+
+  ASSERT_EQ(prof.loads.size(), 1u);
+  EXPECT_EQ(prof.loads.at(load_pc).execs, 10u);
+  ASSERT_EQ(prof.loops.size(), 1u);
+  EXPECT_EQ(prof.loops[0].header_visits, 10u);
+}
+
+TEST(Profiler, HaltUnderBudgetIsCounted) {
+  Program prog;
+  Assembler a(&prog);
+  Label loop = a.NewLabel();
+  a.li(r(1), 5);
+  a.Bind(loop);
+  a.addi(r(1), r(1), -1);
+  a.bne(r(1), r(0), loop);
+  a.halt();
+  a.Finish();
+
+  const Cfg cfg = Cfg::Build(prog);
+  const LoopForest lf = LoopForest::Build(cfg);
+  ProfilerOptions opt;
+  const std::uint64_t whole = 1 + 2 * 5 + 1;  // the HALT included
+  for (const std::uint64_t budget : {std::uint64_t{1000}, whole, whole - 1}) {
+    opt.max_instrs = budget;
+    EXPECT_EQ(ProfileProgram(prog, cfg, lf, opt).instrs,
+              std::min(budget, whole))
+        << "budget " << budget;
+  }
+}
+
+TEST(Profiler, UnitWindowVotesOnlyForTheMissingLoad) {
+  const GatherProgram g = BuildGather(/*iterations=*/5000,
+                                      /*table_words=*/1 << 20);
+  const Cfg cfg = Cfg::Build(g.prog);
+  const LoopForest lf = LoopForest::Build(cfg);
+  ProfilerOptions opt;
+  opt.window = 1;
+  const ProfileResult prof = ProfileProgram(g.prog, cfg, lf, opt);
+
+  ASSERT_TRUE(prof.slice_votes.count(g.dload_pc));
+  for (const auto& [pc, lp] : prof.loads) {
+    if (lp.l1_misses == 0) {
+      EXPECT_EQ(prof.slice_votes.count(pc), 0u) << "0x" << std::hex << pc;
+      continue;
+    }
+    ASSERT_TRUE(prof.slice_votes.count(pc)) << "0x" << std::hex << pc;
+    const auto& votes = prof.slice_votes.at(pc);
+    ASSERT_EQ(votes.size(), 1u) << "0x" << std::hex << pc;
+    EXPECT_EQ(votes.at(pc), lp.l1_misses) << "0x" << std::hex << pc;
+  }
+}
+
+// ---- profiler golden dump ----
+
+// Everything a ProfileResult holds, one fact per line, loop costs as exact
+// hex floats: unlike the stats goldens, this sees votes below the slicer's
+// inclusion share and the low bits of every d-cycle.
+std::string DumpProfile(const std::string& label, const ProfileResult& p) {
+  std::ostringstream out;
+  char buf[96];
+  out << "profile " << label << "\n";
+  out << "instrs " << p.instrs << " total_l1_misses " << p.total_l1_misses
+      << "\n";
+  for (const auto& [pc, lp] : p.loads) {
+    std::snprintf(buf, sizeof(buf), "load 0x%x execs %llu l1_misses %llu\n",
+                  pc, static_cast<unsigned long long>(lp.execs),
+                  static_cast<unsigned long long>(lp.l1_misses));
+    out << buf;
+  }
+  for (const auto& [dload, members] : p.slice_votes) {
+    std::snprintf(buf, sizeof(buf), "votes 0x%x:", dload);
+    out << buf;
+    for (const auto& [pc, votes] : members) {
+      std::snprintf(buf, sizeof(buf), " 0x%x=%llu", pc,
+                    static_cast<unsigned long long>(votes));
+      out << buf;
+    }
+    out << "\n";
+  }
+  for (const LoopProfile& l : p.loops) {
+    std::snprintf(buf, sizeof(buf), "loop %d header_visits %llu total_cost %a\n",
+                  l.loop_id, static_cast<unsigned long long>(l.header_visits),
+                  l.total_cost);
+    out << buf;
+  }
+  return out.str();
+}
+
+// The 15 kernels at the harness's profile seed with default options over
+// a 500k budget, plus three runs at the edges of the window and memory-
+// dependence options.
+std::string ProfileGoldenDump() {
+  std::string out;
+  auto profile = [&out](const std::string& name, std::uint32_t window,
+                        bool memory_deps) {
+    WorkloadConfig wc;
+    wc.seed = 20040426;
+    const Program prog = BuildWorkloadProgram(name, wc);
+    const Cfg cfg = Cfg::Build(prog);
+    const LoopForest lf = LoopForest::Build(cfg);
+    ProfilerOptions opt;
+    opt.max_instrs = 500'000;
+    opt.window = window;
+    opt.memory_deps = memory_deps;
+    out += DumpProfile(name + " window " + std::to_string(window) +
+                           " memory_deps " + (memory_deps ? "1" : "0"),
+                       ProfileProgram(prog, cfg, lf, opt));
+  };
+  for (const WorkloadInfo& w : AllWorkloads()) profile(w.name, 512, true);
+  profile("gzip", 100, true);
+  profile("mcf", 1, true);
+  profile("art", 512, false);
+  return out;
+}
+
+TEST(ProfilerGolden, MatchesCommittedDump) {
+  std::ifstream in(SPEAR_PROFILE_GOLDEN, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot read " << SPEAR_PROFILE_GOLDEN;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  const std::string actual = ProfileGoldenDump();
+  if (actual == golden.str()) return;
+
+  // A deliberate profiler change regenerates the golden by copying this
+  // file over it (and says so in CHANGES.md).
+  std::ofstream("profile15.actual.txt", std::ios::binary) << actual;
+  std::istringstream want(golden.str()), got(actual);
+  std::string w, g;
+  for (int line = 1;; ++line) {
+    const bool has_w = static_cast<bool>(std::getline(want, w));
+    const bool has_g = static_cast<bool>(std::getline(got, g));
+    if (has_w && has_g && w == g) continue;
+    FAIL() << SPEAR_PROFILE_GOLDEN << " differs at line " << line
+           << "\n  golden: " << (has_w ? w : "<end of file>")
+           << "\n  actual: " << (has_g ? g : "<end of file>")
+           << "\n(full dump written to profile15.actual.txt)";
+  }
 }
 
 // ---- slicer ----

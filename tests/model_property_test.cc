@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "common/circular_buffer.h"
@@ -56,8 +57,11 @@ class ReferenceCache {
 
 struct CacheModelCase {
   std::uint32_t sets, block, assoc;
+  std::uint32_t zero;  // the 4 bytes before `seed`, printed into test names
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<CacheModelCase>,
+              "CacheModelCase must have no padding: its bytes name the cases");
 
 class CacheVsModel : public testing::TestWithParam<CacheModelCase> {};
 
@@ -78,10 +82,12 @@ TEST_P(CacheVsModel, HitMissSequenceIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CacheVsModel,
-    testing::Values(CacheModelCase{4, 16, 1, 1}, CacheModelCase{4, 16, 2, 2},
-                    CacheModelCase{16, 32, 4, 3}, CacheModelCase{64, 64, 8, 4},
-                    CacheModelCase{256, 32, 4, 5},
-                    CacheModelCase{1, 16, 4, 6}),  // fully associative-ish
+    testing::Values(CacheModelCase{4, 16, 1, 0, 1},
+                    CacheModelCase{4, 16, 2, 0, 2},
+                    CacheModelCase{16, 32, 4, 0, 3},
+                    CacheModelCase{64, 64, 8, 0, 4},
+                    CacheModelCase{256, 32, 4, 0, 5},
+                    CacheModelCase{1, 16, 4, 0, 6}),  // fully associative-ish
     [](const testing::TestParamInfo<CacheModelCase>& info) {
       return "s" + std::to_string(info.param.sets) + "b" +
              std::to_string(info.param.block) + "a" +
