@@ -13,14 +13,7 @@ BenchContext ParseBenchArgs(int argc, char** argv) {
                      {{"out", "directory for the JSON result file "
                               "(default bench/results)"},
                       {"quick", "smoke-run budget (40k instrs per config)"},
-                      {"sim-instrs", "exact per-config commit budget"},
-                      {"emit-manifest", "write the experiment manifest JSON "
-                                        "instead of running it"},
-                      {"manifest-dir", "where --emit-manifest writes "
-                                       "(default bench/manifests)"},
-                      {"ckpt-dir", "fast-forward checkpoint cache "
-                                   "(default bench/ckpt)"},
-                      {"no-ckpt", "disable the checkpoint cache"}});
+                      {"sim-instrs", "exact per-config commit budget"}});
   BenchContext ctx;
   ctx.out_dir = flags.Get("out", ctx.out_dir);
   ctx.quick = flags.GetBool("quick");
@@ -29,11 +22,6 @@ BenchContext ParseBenchArgs(int argc, char** argv) {
     ctx.options.sim_instrs =
         static_cast<std::uint64_t>(flags.GetInt("sim-instrs", 400'000));
   }
-  ctx.emit_manifest = flags.GetBool("emit-manifest");
-  ctx.manifest_dir = flags.Get("manifest-dir", ctx.manifest_dir);
-  ctx.runner.ckpt_dir = flags.Get("ckpt-dir", ctx.runner.ckpt_dir);
-  ctx.runner.use_ckpt = !flags.GetBool("no-ckpt");
-  ctx.runner.verbose = true;
   return ctx;
 }
 
@@ -63,173 +51,6 @@ std::vector<std::string> AllBenchmarkNames() {
   std::vector<std::string> names;
   for (const WorkloadInfo& w : AllWorkloads()) names.emplace_back(w.name);
   return names;
-}
-
-runner::Manifest BenchManifest(const BenchContext& ctx,
-                               const std::string& name) {
-  runner::Manifest m;
-  m.name = name;
-  m.defaults.sim_instrs = ctx.options.sim_instrs;
-  m.defaults.max_cycles = ctx.options.max_cycles;
-  m.defaults.ref_seed = ctx.options.ref_seed;
-  m.defaults.profile_seed = ctx.options.profile_seed;
-  // Skip-and-simulate: every sweep warms 50k instructions functionally
-  // and shares the warm state through the checkpoint cache.
-  m.defaults.ff_instrs = 50'000;
-  return m;
-}
-
-runner::ConfigSpec BaseModel(const std::string& label) {
-  runner::ConfigSpec c;
-  c.label = label;
-  return c;
-}
-
-runner::ConfigSpec SpearModel(const std::string& label, std::uint32_t ifq,
-                               bool separate_fu) {
-  runner::ConfigSpec c;
-  c.label = label;
-  c.spear = true;
-  c.ifq = ifq;
-  c.separate_fu = separate_fu;
-  return c;
-}
-
-runner::DerivedSpec MeanRatio(const std::string& name,
-                              const std::string& metric,
-                              const std::string& num,
-                              const std::string& den) {
-  return runner::DerivedSpec{name, "mean_ratio", metric, num, den};
-}
-
-runner::DerivedSpec MeanReduction(const std::string& name,
-                                  const std::string& metric,
-                                  const std::string& num,
-                                  const std::string& den) {
-  return runner::DerivedSpec{name, "mean_reduction", metric, num, den};
-}
-
-runner::JobSpec MixJob(const runner::Manifest& m,
-                       std::vector<std::string> workloads,
-                       const std::string& config_label) {
-  runner::JobSpec j;
-  j.workloads = std::move(workloads);
-  j.config = -1;
-  for (std::size_t i = 0; i < m.configs.size(); ++i) {
-    if (m.configs[i].label == config_label) j.config = static_cast<int>(i);
-  }
-  SPEAR_CHECK(j.config >= 0);  // bench matrices are static; a typo is a bug
-  return j;
-}
-
-namespace {
-
-// Workload x config IPC table from the aggregated document's job rows.
-const telemetry::JsonValue* FindJobRow(const telemetry::JsonValue& jobs,
-                                       const std::string& id) {
-  for (const telemetry::JsonValue& row : jobs.items()) {
-    const telemetry::JsonValue* rid = row.Find("id");
-    if (rid != nullptr && rid->AsString() == id) return &row;
-  }
-  return nullptr;
-}
-
-// Per-mix table for multiprogram manifests: throughput plus the derived
-// figures of merit each row already carries.
-void PrintMixSummary(const runner::Manifest& m,
-                     const telemetry::JsonValue& jobs) {
-  bool any = false;
-  for (const runner::JobSpec& j : m.extra_jobs) any = any || j.is_mix();
-  if (!any) return;
-  std::printf("\n%-28s %10s %10s %10s\n", "mix/config", "thru IPC",
-              "w.speedup", "fairness");
-  for (const runner::JobSpec& j : m.extra_jobs) {
-    if (!j.is_mix()) continue;
-    const std::string id = runner::JobId(m, j);
-    const telemetry::JsonValue* row = FindJobRow(jobs, id);
-    const telemetry::JsonValue* thru =
-        row != nullptr ? row->FindPath("stats.throughput_ipc") : nullptr;
-    if (thru == nullptr) {
-      std::printf("%-28s %10s\n", id.c_str(),
-                  row != nullptr ? "FAIL" : "-");
-      continue;
-    }
-    const telemetry::JsonValue* ws = row->FindPath("stats.weighted_speedup");
-    const telemetry::JsonValue* hf = row->FindPath("stats.hmean_fairness");
-    std::printf("%-28s %10.3f %10.3f %10.3f\n", id.c_str(), thru->AsDouble(),
-                ws != nullptr ? ws->AsDouble() : 0.0,
-                hf != nullptr ? hf->AsDouble() : 0.0);
-  }
-  std::fflush(stdout);
-}
-
-void PrintSummary(const runner::Manifest& m,
-                  const telemetry::JsonValue& doc) {
-  const telemetry::JsonValue* jobs = doc.Find("jobs");
-  if (jobs == nullptr) return;
-  if (m.workloads.empty()) {  // mix-only manifest: no workload matrix
-    PrintMixSummary(m, *jobs);
-    return;
-  }
-  std::printf("\n%-10s", "benchmark");
-  for (const runner::ConfigSpec& c : m.configs) {
-    std::printf(" %12s", c.label.c_str());
-  }
-  std::printf("  (IPC)\n");
-  for (const std::string& w : m.workloads) {
-    std::printf("%-10s", w.c_str());
-    for (const runner::ConfigSpec& c : m.configs) {
-      const telemetry::JsonValue* found =
-          FindJobRow(*jobs, w + "/" + c.label);
-      const telemetry::JsonValue* ipc =
-          found != nullptr ? found->FindPath("stats.ipc") : nullptr;
-      if (ipc != nullptr) {
-        std::printf(" %12.3f", ipc->AsDouble());
-      } else {
-        std::printf(" %12s", found != nullptr ? "FAIL" : "-");
-      }
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-  }
-  PrintMixSummary(m, *jobs);
-}
-
-}  // namespace
-
-int RunOrEmit(const BenchContext& ctx, const runner::Manifest& m,
-              const std::string& file_stem) {
-  if (ctx.emit_manifest) {
-    std::filesystem::create_directories(ctx.manifest_dir);
-    const std::string path = ctx.manifest_dir + "/" + file_stem + ".json";
-    std::ofstream out(path, std::ios::binary);
-    out << runner::ManifestToJson(m).Dump(2) << "\n";
-    out.close();
-    std::printf("wrote %s (%zu jobs)\n", path.c_str(),
-                runner::ExpandJobs(m).size());
-    return 0;
-  }
-
-  const runner::ManifestRunResult result =
-      runner::RunManifestInProcess(m, ctx.runner);
-  PrintSummary(m, result.document);
-
-  if (const telemetry::JsonValue* derived = result.document.Find("derived");
-      derived != nullptr && !derived->members().empty()) {
-    std::printf("\n");
-    for (const auto& [name, value] : derived->members()) {
-      std::printf("%-28s %s\n", name.c_str(), value.Dump().c_str());
-    }
-  }
-
-  const std::string path =
-      runner::WriteRunnerDoc(result.document, ctx.out_dir, m.name);
-  std::printf("\nwrote %s\n", path.c_str());
-  if (result.failed_jobs > 0) {
-    std::printf("%d jobs FAILED\n", result.failed_jobs);
-    return 1;
-  }
-  return 0;
 }
 
 std::string WriteBenchJson(const BenchContext& ctx,

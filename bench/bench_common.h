@@ -1,10 +1,8 @@
-// Shared machinery for the experiment-reproduction binaries. The sweep
-// benches (Figures 6-9, Table 3, the ablations and extensions) are thin
-// wrappers over src/runner: each builds its experiment matrix as a
-// runner::Manifest and either runs it in-process or emits it as JSON
-// (--emit-manifest) so the committed bench/manifests/*.json files can
-// never drift from the C++ definitions. Every binary prints the simulator
-// configuration header (paper Table 2) so runs are self-describing.
+// Shared machinery for the bench binaries that are not config sweeps
+// (bench_table1_workloads, bench_simspeed). Every sweep is a manifest
+// under bench/manifests/ run by tools/spearrun. Each binary prints the
+// simulator configuration header (paper Table 2) so runs are
+// self-describing.
 #pragma once
 
 #include <cstdio>
@@ -12,24 +10,17 @@
 #include <vector>
 
 #include "eval/harness.h"
-#include "runner/manifest.h"
-#include "runner/runner.h"
 #include "telemetry/json.h"
 
 namespace spear::bench {
 
 // Options every bench binary accepts: --out=<dir> redirects the JSON
 // result file (default bench/results), --quick shrinks the commit budget
-// for smoke runs (CI), --sim-instrs overrides it exactly. Sweep benches
-// additionally take --emit-manifest/--manifest-dir (write the manifest
-// instead of running it) and --ckpt-dir/--no-ckpt (checkpoint cache).
+// for smoke runs (CI), --sim-instrs overrides it exactly.
 struct BenchContext {
   EvalOptions options;
   std::string out_dir = "bench/results";
   bool quick = false;
-  bool emit_manifest = false;
-  std::string manifest_dir = "bench/manifests";
-  runner::RunnerOptions runner;
 };
 
 BenchContext ParseBenchArgs(int argc, char** argv);
@@ -39,49 +30,10 @@ void PrintConfigHeader(const CoreConfig& reference);
 // All 15 paper benchmarks, in Table 1 order.
 std::vector<std::string> AllBenchmarkNames();
 
-// Manifest skeleton with the repo's standard defaults: the bench's commit
-// budget and a 50k-instruction checkpointed fast-forward (skip-and-
-// simulate; see DESIGN.md §"Experiment orchestration").
-runner::Manifest BenchManifest(const BenchContext& ctx,
-                               const std::string& name);
-
-// ConfigSpec shorthands for the standard models.
-runner::ConfigSpec BaseModel(const std::string& label = "base");
-runner::ConfigSpec SpearModel(const std::string& label, std::uint32_t ifq,
-                               bool separate_fu = false);
-
-// DerivedSpec shorthands (metric is a RunStats JSON key, num/den are
-// config labels; the mean runs over the manifest's workloads).
-runner::DerivedSpec MeanRatio(const std::string& name,
-                              const std::string& metric,
-                              const std::string& num, const std::string& den);
-runner::DerivedSpec MeanReduction(const std::string& name,
-                                  const std::string& metric,
-                                  const std::string& num,
-                                  const std::string& den);
-
-// Explicit multiprogram job: `workloads` co-scheduled under the config
-// labeled `config_label` (which must already be in m.configs; the
-// topology — SMT or CMP — comes from that config's `cores`).
-runner::JobSpec MixJob(const runner::Manifest& m,
-                       std::vector<std::string> workloads,
-                       const std::string& config_label);
-
-// The sweep-bench tail: with --emit-manifest, write the canonical
-// manifest JSON to <manifest_dir>/<file_stem>.json and return 0.
-// Otherwise run the manifest in-process (sharing the runner's document
-// builder, so `spearrun --manifest bench/manifests/<file_stem>.json`
-// reproduces the result byte-identically modulo the "run" member), write
-// the document to <out_dir>/<m.name>.json, print a workload x config IPC
-// table plus the derived metrics, and return nonzero if any job failed.
-int RunOrEmit(const BenchContext& ctx, const runner::Manifest& m,
-              const std::string& file_stem);
-
 // Wraps `results` in the schema-versioned bench envelope
 // {schema_version, kind:"bench", bench, quick, sim_instrs, results},
 // writes it to <out_dir>/<bench_name>.json (creating the directory) and
-// returns the path. Used by the benches that are not config sweeps
-// (table1). Prints a one-line notice to stdout.
+// returns the path. Prints a one-line notice to stdout.
 std::string WriteBenchJson(const BenchContext& ctx,
                            const std::string& bench_name,
                            telemetry::JsonValue results);

@@ -4,11 +4,10 @@
 // second, timing only the cycle loop — workload build, compile and
 // fast-forward are excluded). The CI gate compares the aggregate against
 // the conservative floor in bench/simspeed_baseline.json and fails on a
-// >15% regression; bench/manifests/simspeed.json describes the same
-// matrix for spearrun (--emit-manifest regenerates it). --functional
-// times the functional substrate instead: bare Emulator::Run, the
-// warming routine, and the post-compiler's profiling pass, gated against
-// functional_mips, warmed_mips and profiled_mips.
+// >15% regression. --functional times the functional substrate instead:
+// bare Emulator::Run, the warming routine, and the post-compiler's
+// profiling pass, gated against functional_mips, warmed_mips and
+// profiled_mips.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,10 +37,16 @@ spear::bench::BenchContext ContextFromFlags(const spear::tools::Flags& flags) {
         static_cast<std::uint64_t>(flags.GetInt("sim-instrs", 400'000));
   }
   ctx.options.scale = static_cast<int>(flags.GetInt("scale", 1));
-  ctx.emit_manifest = flags.GetBool("emit-manifest");
-  ctx.manifest_dir = flags.Get("manifest-dir", ctx.manifest_dir);
   return ctx;
 }
+
+// The headline Figure 6 pair: the baseline superscalar and SPEAR-256.
+struct Model {
+  const char* label;
+  bool spear;
+  std::uint32_t ifq;
+};
+constexpr Model kModels[] = {{"base", false, 128}, {"spear256", true, 256}};
 
 // Gates `measured` against the named floor key in --baseline (if given):
 // prints the comparison and returns 1 on regression, 0 otherwise.
@@ -91,10 +96,6 @@ int main(int argc, char** argv) {
       {{"out", "directory for the JSON result file (default bench/results)"},
        {"quick", "smoke-run budget (40k instrs per config)"},
        {"sim-instrs", "exact per-config commit budget"},
-       {"emit-manifest",
-        "write the experiment manifest JSON instead of running it"},
-       {"manifest-dir", "where --emit-manifest writes "
-                        "(default bench/manifests)"},
        {"functional", "time the functional substrate instead of the "
                       "detailed core: bare Emulator::Run, the cache/"
                       "predictor-warming routine fast-forward and "
@@ -105,13 +106,7 @@ int main(int argc, char** argv) {
        {"tolerance", "allowed fractional regression vs the baseline "
                      "(default 0.15)"}});
   const BenchContext ctx = ContextFromFlags(flags);
-
-  runner::Manifest m = BenchManifest(ctx, "simspeed");
-  m.workloads = AllBenchmarkNames();
-  m.configs = {BaseModel(), SpearModel("spear256", 256)};
-  if (ctx.emit_manifest) {
-    return RunOrEmit(ctx, m, "simspeed");
-  }
+  const std::vector<std::string> workloads = AllBenchmarkNames();
 
   if (flags.GetBool("functional")) {
     // Functional-substrate throughput over the same budget, three ways:
@@ -146,7 +141,7 @@ int main(int argc, char** argv) {
     double total_seconds = 0.0;
     double total_warmed_seconds = 0.0;
     double total_profiled_seconds = 0.0;
-    for (const std::string& name : m.workloads) {
+    for (const std::string& name : workloads) {
       const PreparedWorkload pw = PrepareWorkload(name, ctx.options);
       Emulator emu(pw.plain);
       Clock::time_point t0 = Clock::now();
@@ -236,12 +231,12 @@ int main(int argc, char** argv) {
   std::uint64_t total_instrs = 0;
   double total_seconds = 0.0;
   bool all_complete = true;
-  for (const std::string& name : m.workloads) {
+  for (const std::string& name : workloads) {
     const PreparedWorkload pw = PrepareWorkload(name, ctx.options);
-    for (const runner::ConfigSpec& cs : m.configs) {
-      const CoreConfig cfg = cs.spear ? SpearCoreConfig(cs.ifq)
-                                      : BaselineConfig(cs.ifq);
-      const Program& prog = cs.spear ? pw.annotated : pw.plain;
+    for (const Model& model : kModels) {
+      const CoreConfig cfg = model.spear ? SpearCoreConfig(model.ifq)
+                                         : BaselineConfig(model.ifq);
+      const Program& prog = model.spear ? pw.annotated : pw.plain;
       const Clock::time_point t0 = Clock::now();
       const RunStats s = RunConfig(prog, cfg, ctx.options);
       const double seconds =
@@ -256,7 +251,7 @@ int main(int argc, char** argv) {
 
       telemetry::JsonValue row = telemetry::JsonValue::Object();
       row.Set("workload", telemetry::JsonValue(name));
-      row.Set("config", telemetry::JsonValue(cs.label));
+      row.Set("config", telemetry::JsonValue(model.label));
       row.Set("instructions", telemetry::JsonValue(s.instructions));
       row.Set("cycles", telemetry::JsonValue(
                             static_cast<std::uint64_t>(s.cycles)));
@@ -265,7 +260,7 @@ int main(int argc, char** argv) {
       row.Set("complete", telemetry::JsonValue(s.complete));
       rows.Append(std::move(row));
       std::printf("%-10s %-10s %12llu %12.1f %10.2f\n", name.c_str(),
-                  cs.label.c_str(),
+                  model.label,
                   static_cast<unsigned long long>(s.instructions),
                   seconds * 1e3, mips);
       std::fflush(stdout);

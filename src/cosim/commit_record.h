@@ -3,8 +3,9 @@
 //
 // The core cannot depend on the checker (spear_cosim links spear_cpu), so
 // this header defines only what the capture sites need: the per-commit
-// record, the abstract sink the core calls at each commit, and the
-// compile-out gate. The concrete CosimChecker lives in cosim/cosim.h.
+// record and the abstract sink the core calls at each commit (one
+// null-pointer test per commit when no checker is attached). The concrete
+// CosimChecker lives in cosim/cosim.h.
 #pragma once
 
 #include <cstdint>
@@ -13,18 +14,7 @@
 #include "isa/instruction.h"
 #include "sim/exec.h"
 
-// Build-time gate, mirroring SPEAR_TELEMETRY_TRACE: with
-// -DSPEAR_ENABLE_COSIM=0 every capture site folds to a constant-false
-// branch and the compiler deletes the whole path. The default leaves the
-// hooks in (they cost one null-pointer test per commit when no checker is
-// attached).
-#ifndef SPEAR_ENABLE_COSIM
-#define SPEAR_ENABLE_COSIM 1
-#endif
-
 namespace spear::cosim {
-
-inline constexpr bool kCosimCompiled = SPEAR_ENABLE_COSIM != 0;
 
 // Which architectural fact diverged between the pipeline and the oracle.
 enum class DivergentField : std::uint8_t {

@@ -48,8 +48,9 @@ struct CoreConfig {
   BpredConfig bpred;
   HierarchyConfig mem;
   SpearConfig spear;
-  // Traditional-prefetching baseline (off by default; bench_ext_prefetch
-  // compares it against SPEAR per the paper's Section 1 argument).
+  // Traditional-prefetching baseline (off by default;
+  // bench/manifests/ext_prefetch.json compares it against SPEAR per the
+  // paper's Section 1 argument).
   StridePrefetcherConfig stride_prefetch;
 
   // Lockstep co-simulation: when set, RunConfig (and the tools) attach a

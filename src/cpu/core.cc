@@ -316,7 +316,6 @@ RunResult Core::Run(std::uint64_t max_instrs, std::uint64_t max_cycles) {
 // divergence, in which case the entry must NOT retire: the run is over and
 // the diverging instruction stays at the RUU head for post-mortems.
 bool Core::DeliverCommit(const RuuEntry& e) {
-  if constexpr (!cosim::kCosimCompiled) return true;
   const ThreadCtx& t =
       e.tid == pthread_tid() ? owner_ctx() : *threads_[e.tid];
   cosim::CommitRecord rec;
@@ -1113,7 +1112,7 @@ void Core::DispatchOne(CircularBuffer<RuuEntry>& buffer, const IfqEntry& fe,
     e.wrongpath = t.spec_mode;
     MainState st{this, &t};
     e.exec = ExecuteInstruction(st, fe.instr, fe.pc);
-    if (cosim::kCosimCompiled && cosim_ != nullptr && !e.wrongpath) {
+    if (cosim_ != nullptr && !e.wrongpath) {
       // Lockstep capture: correct-path dispatch just updated the in-order
       // register file and memory image, so reading them back here yields
       // exactly the values this instruction committed architecturally.
@@ -1150,7 +1149,7 @@ void Core::DispatchOne(CircularBuffer<RuuEntry>& buffer, const IfqEntry& fe,
     SPEAR_TRACE_EVENT(trace_, TraceEvent::kDispatch, now_,
                       TraceUid(fe.seq, tid), fe.pc, tid,
                       e.wrongpath ? 1 : 0);
-  } else if (cosim::kCosimCompiled && cosim_ != nullptr) {
+  } else if (cosim_ != nullptr) {
     // P-thread invariant probe: snapshot the would-be destination in the
     // *owner's* register file around the p-thread execution. PThreadContext
     // routes all effects into its private registers and store buffer, so
@@ -1307,27 +1306,15 @@ void Core::FetchThread(ThreadCtx& t) {
       t.ifq.capacity() / config_.spear.trigger_occupancy_div);
   for (std::uint32_t n = 0; n < config_.fetch_width && !t.ifq.full(); ++n) {
     IfqEntry fe;
-    bool is_control;
-    if (kBlockCacheEnabled) {
-      // One decoded-record lookup replaces the per-fetch text containment
-      // check, text-table read, opcode-table probe and the two PT hash
-      // probes of the pre-decoder — the marks were baked in at decode.
-      const DecodedInstr* rec = t.bcache->Record(t.fetch_pc);
-      if (rec == nullptr) break;  // stalled (wrong path / end)
-      fe.instr = rec->instr;
-      is_control = rec->is_control();
-      fe.pthread_indicator = rec->pthread_indicator;
-      fe.dload_spec = rec->dload_spec;
-    } else {
-      // Per-instruction probe path (-DSPEAR_ENABLE_BLOCK_CACHE=0).
-      if (!t.prog->ContainsPc(t.fetch_pc)) break;  // stalled (wrong path / end)
-      fe.instr = t.prog->At(t.fetch_pc);
-      is_control = IsControl(fe.instr.op);
-      if (config_.spear.enabled && !t.pt.empty()) {  // pre-decoder (PD)
-        fe.pthread_indicator = t.pt.InAnySlice(t.fetch_pc);
-        fe.dload_spec = t.pt.DloadSpec(t.fetch_pc);
-      }
-    }
+    // One decoded-record lookup replaces the per-fetch text containment
+    // check, text-table read, opcode-table probe and the two PT hash
+    // probes of the pre-decoder — the marks were baked in at decode.
+    const DecodedInstr* rec = t.bcache->Record(t.fetch_pc);
+    if (rec == nullptr) break;  // stalled (wrong path / end)
+    fe.instr = rec->instr;
+    const bool is_control = rec->is_control();
+    fe.pthread_indicator = rec->pthread_indicator;
+    fe.dload_spec = rec->dload_spec;
 
     fe.pc = t.fetch_pc;
     fe.seq = t.fetch_seq++;

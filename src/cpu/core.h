@@ -279,8 +279,7 @@ class Core {
   // main-thread commit and p-thread retire is delivered as a CommitRecord.
   // When the sink reports divergence the core latches cosim_diverged() and
   // the run stops (deterministically — see src/cosim). Costs one pointer
-  // test per commit when detached; compiles out under
-  // -DSPEAR_ENABLE_COSIM=0.
+  // test per commit when detached.
   void set_cosim(cosim::CommitSink* sink) { cosim_ = sink; }
   bool cosim_diverged() const { return cosim_diverged_; }
 

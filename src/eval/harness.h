@@ -63,7 +63,7 @@ struct RunStats {
   std::uint64_t dispatched_wrongpath = 0;
   std::uint64_t squashed_wrongpath = 0;
   std::uint64_t ifq_flushed = 0;
-  // Chaining-trigger extension re-arms (bench_ext_chaining).
+  // Chaining-trigger extension re-arms (bench/manifests/ext_chaining.json).
   std::uint64_t chained_triggers = 0;
   bool halted = false;
   // A run is complete when it either committed a HALT or exhausted its

@@ -404,9 +404,10 @@ void FarmDaemon::HandleSubmit(Client& c, const JsonValue& frame) {
   const runner::JobSpec& spec = man->jobs[job_index];
 
   // A debug_hang job deliberately never produces a cacheable row (it
-  // exists to exercise pool timeouts), so it bypasses cache + coalescing.
+  // exists to exercise pool timeouts), and a mix job has no single binary
+  // to fingerprint, so both bypass cache + coalescing.
   ResultCacheKey key;
-  if (!spec.debug_hang) {
+  if (!spec.debug_hang && !spec.is_mix()) {
     const runner::ConfigSpec& cfg = man->m.configs[spec.config];
     const EvalOptions eopts = runner::MakeEvalOptions(man->m.defaults, cfg);
     const PreparedWorkload& pw = workloads_.Get(spec.workload, eopts);
@@ -750,7 +751,8 @@ void FarmDaemon::RestoreQueue() {
     job.job_index = job_index;
     job.cosim = cosim;
     job.owner = 0;
-    if (!job.man->jobs[job_index].debug_hang) {
+    if (!job.man->jobs[job_index].debug_hang &&
+        !job.man->jobs[job_index].is_mix()) {
       // Cache-key the restored job so later submits of the same row
       // coalesce onto it; if the row got cached between persist and
       // restart there is nothing left to do.

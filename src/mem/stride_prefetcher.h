@@ -1,8 +1,8 @@
 // Tagged per-PC stride prefetcher — the "traditional data prefetching"
 // the paper positions SPEAR against (Section 1: stride schemes work on
 // regular access patterns and fail on irregular ones). Implemented as a
-// baseline comparator: bench_ext_prefetch runs baseline vs stride vs
-// SPEAR vs both on the workload suite to reproduce that argument
+// baseline comparator: bench/manifests/ext_prefetch.json runs baseline vs
+// stride vs SPEAR vs both on the workload suite to reproduce that argument
 // quantitatively.
 //
 // Classic RPT design (Chen & Baer): a table indexed by load PC holding the

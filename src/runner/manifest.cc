@@ -4,6 +4,8 @@
 #include <set>
 #include <sstream>
 
+#include "workloads/workload.h"
+
 namespace spear::runner {
 namespace {
 
@@ -334,6 +336,28 @@ void ParseDerived(Ctx& ctx, const JsonValue& obj, const std::string& path,
   }
 }
 
+// Every workload name must be a registered kernel. The workload build
+// aborts on an unknown name, so a typo caught here is a usage error
+// instead of a crashed worker.
+void CheckWorkloadNames(Ctx& ctx, const Manifest& m) {
+  auto check = [&ctx](const std::string& path, const std::string& name) {
+    for (const WorkloadInfo& w : AllWorkloads()) {
+      if (name == w.name) return;
+    }
+    ctx.Fail(path, "unknown workload '" + name + "'");
+  };
+  for (std::size_t i = 0; i < m.workloads.size(); ++i) {
+    check(Elem("workloads", i), m.workloads[i]);
+  }
+  for (std::size_t i = 0; i < m.extra_jobs.size(); ++i) {
+    const JobSpec& j = m.extra_jobs[i];
+    if (!j.is_mix()) check(Elem("jobs", i) + ".workload", j.workload);
+    for (std::size_t k = 0; k < j.workloads.size(); ++k) {
+      check(Elem(Elem("jobs", i) + ".workloads", k), j.workloads[k]);
+    }
+  }
+}
+
 // --- emission helpers (only non-default fields, fixed key order) ---
 
 JsonValue DefaultsToJson(const ManifestDefaults& d) {
@@ -562,6 +586,8 @@ bool ParseManifest(const std::string& text, Manifest* out,
       }
     }
   }
+  // Last, so every structural diagnostic above fires first.
+  if (!ctx.failed()) CheckWorkloadNames(ctx, m);
 
   if (ctx.failed()) {
     if (error != nullptr) *error = ctx.error();

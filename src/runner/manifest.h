@@ -1,12 +1,11 @@
-// Job manifests: the declarative form of an experiment matrix. A manifest
-// names a set of workloads, a set of labeled simulator configurations and
-// optional derived metrics; the job list is the workload x config cross
-// product (workload-major, so every sweep the bench binaries used to
-// hardcode is a data file), optionally followed by explicit extra jobs
-// (used by CI to inject deliberate failures). The runner executes the
-// list; bench binaries both emit manifests (--emit-manifest) and run them
-// in-process, so the committed bench/manifests/*.json files and the C++
-// matrices can never drift apart unnoticed.
+// Job manifests: the declarative form of an experiment matrix, and the
+// only definition of one. A manifest names a set of workloads, a set of
+// labeled simulator configurations and optional derived metrics; the job
+// list is the workload x config cross product (workload-major), optionally
+// followed by explicit extra jobs (multiprogram mixes, and CI's deliberate
+// failures). Every table and figure is a committed bench/manifests/*.json
+// file that spearrun executes (in-process, across worker processes, or
+// through the spearfarm daemon).
 #pragma once
 
 #include <cstdint>
@@ -66,7 +65,7 @@ struct ConfigSpec {
   bool chaining_trigger = false;
   bool stride_prefetch = false;
   std::uint32_t stride_degree = 0;
-  // Speculative-leakage evaluation (bench_fig_leakage): attach the taint
+  // Speculative-leakage evaluation (fig_leakage.json): attach the taint
   // observer, and/or fence speculative loads behind unresolved branches.
   bool taint = false;
   bool fence_spec_loads = false;
@@ -131,14 +130,17 @@ std::string JobId(const Manifest& m, const JobSpec& job);
 // Parses a manifest document. On failure returns false and fills *error
 // with a path-annotated diagnostic ("configs[2].bpred_kind: unknown
 // predictor 'foo'"). Unknown keys are rejected, not ignored: a typoed
-// knob must not silently run the default configuration.
+// knob must not silently run the default configuration. Workload names
+// must be registered kernels ("workloads[0]: unknown workload 'mfc'");
+// that check runs after every structural one.
 bool ParseManifest(const std::string& text, Manifest* out,
                    std::string* error);
 bool LoadManifestFile(const std::string& path, Manifest* out,
                       std::string* error);
 
-// Canonical JSON form (what --emit-manifest writes). Parse(Emit(m)) is an
-// identity, and Emit only writes non-default fields.
+// Canonical JSON form (the runner document's manifest echo, the farm's
+// submission and cache keys). Parse(Emit(m)) is an identity, and Emit
+// only writes non-default fields.
 telemetry::JsonValue ManifestToJson(const Manifest& m);
 
 // Materializes a ConfigSpec into the simulator structs.

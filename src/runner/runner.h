@@ -2,8 +2,8 @@
 // results document under bench/results/. Two drivers share every
 // deterministic code path (job -> row, row ordering, derived metrics):
 //
-//   RunManifestInProcess — sequential, used by the bench binaries and
-//     tests; no fork, but the same checkpoint cache.
+//   RunManifestInProcess — sequential, used by `spearrun --in-process`
+//     and the tests; no fork, but the same checkpoint cache.
 //   RunManifestParallel  — the spearrun parent: forks `spearrun --worker`
 //     children through the ProcessPool, one per job, and embeds each
 //     worker's row verbatim.

@@ -20,10 +20,6 @@
 // program's text + entry + p-thread section (the same FNV-1a scheme the
 // farm result cache uses for whole-binary fingerprints), so attaching a
 // different SPEARBIN or PT flushes and a warm re-attach keeps everything.
-//
-// -DSPEAR_ENABLE_BLOCK_CACHE=0 compiles the cached paths out of Emulator
-// and Core (both fall back to the per-instruction probe loops, which stay
-// compiled and CI-tested either way); the cache itself still builds.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +30,7 @@
 #include "isa/program.h"
 #include "spear/pthread_table.h"
 
-#ifndef SPEAR_ENABLE_BLOCK_CACHE
-#define SPEAR_ENABLE_BLOCK_CACHE 1
-#endif
-
 namespace spear {
-
-inline constexpr bool kBlockCacheEnabled = SPEAR_ENABLE_BLOCK_CACHE != 0;
 
 // Exec-dispatch tag bits, precomputed from GetOpInfo at decode time so the
 // hot loops never re-consult the opcode table.

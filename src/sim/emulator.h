@@ -125,7 +125,6 @@ class Emulator {
   template <typename Observer>
   SPEAR_FLATTEN std::uint64_t Run(std::uint64_t max_instrs,
                                   Observer&& observe) {
-    if (!kBlockCacheEnabled) return RunPerInstruction(max_instrs, observe);
     BlockCache& bc = EnsureCache();
     std::uint64_t n = 0;
     ArchState st{this};
@@ -203,21 +202,6 @@ class Emulator {
     void StoreU8(Addr a, std::uint8_t v) { e->mem_.WriteU8(a, v); }
     void StoreF64(Addr a, double v) { e->mem_.WriteF64(a, v); }
   };
-
-  // Legacy per-instruction loop: the compiled-out fallback for
-  // -DSPEAR_ENABLE_BLOCK_CACHE=0 builds (kept compiled unconditionally).
-  template <typename Observer>
-  std::uint64_t RunPerInstruction(std::uint64_t max_instrs,
-                                  Observer& observe) {
-    std::uint64_t n = 0;
-    while (!halted_ && !faulted_ && n < max_instrs) {
-      const StepInfo info = Step();
-      if (faulted_) break;
-      ++n;
-      observe(info.pc, info.instr, info.result);
-    }
-    return n;
-  }
 
   BlockCache& EnsureCache() {
     if (cache_ == nullptr) {

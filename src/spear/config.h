@@ -20,8 +20,8 @@ enum class TriggerDrainPolicy : std::uint8_t {
   // the paper's drain produces: correct-path values are final, and any
   // intervening misprediction flushes the IFQ and aborts the session
   // anyway. The two drain variants below model stricter hardware readings;
-  // bench_ablation_drain shows they forfeit most of SPEAR's gain, which is
-  // why they cannot be what the paper's simulator measured.
+  // bench/manifests/ablation_drain.json shows they forfeit most of SPEAR's
+  // gain, which is why they cannot be what the paper's simulator measured.
   kImmediate,
   // Ablation: snapshot live-ins at trigger, but gate p-thread issue until
   // commit has caught up to the trigger point. Extraction buffers in the

@@ -19,8 +19,9 @@
 // P-thread taint starts from the live-in copy and dies with the session.
 //
 // Everything emits through StatRegistry as `core.spec_leak.*`. The hooks
-// compile out under -DSPEAR_ENABLE_TAINT=0 (mirroring SPEAR_ENABLE_COSIM);
-// the default build keeps them at one null-pointer test per event.
+// compile out under -DSPEAR_ENABLE_TAINT=0 (mirroring
+// SPEAR_TELEMETRY_TRACE); the default build keeps them at one null-pointer
+// test per event.
 #pragma once
 
 #include <cstdint>

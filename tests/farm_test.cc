@@ -814,6 +814,36 @@ TEST(FarmDaemonTest, FailedJobsAreReportedButNeverCached) {
   EXPECT_EQ(fx.daemon().stats().cache_stores, 1u);
 }
 
+// A mix row has no single binary to key the result cache on: it runs
+// through the pool like any other row but is never cached.
+TEST(FarmDaemonTest, MixJobsRunButAreNeverCached) {
+  DaemonFixture fx;
+  ASSERT_TRUE(fx.Start());
+  runner::Manifest m = DaemonManifest();
+  m.workloads.clear();
+  runner::JobSpec mix;
+  mix.workloads = {"matrix", "mcf"};
+  mix.config = 0;
+  m.extra_jobs = {mix};
+  const JsonValue mj = runner::ManifestToJson(m);
+
+  FarmClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(fx.opts().socket_path, &error)) << error;
+  for (std::size_t launch = 0; launch < 2; ++launch) {
+    Submit(client, mj, 0);
+    WaitEvent(client, "queued");
+    const std::uint64_t ticket = fx.fake().WaitForLaunch(launch).first;
+    JsonValue row = JsonValue::Object();
+    row.Set("id", JsonValue("matrix+mcf/base"));
+    fx.fake().CompleteOk(ticket, row);
+    EXPECT_FALSE(WaitEvent(client, "result").Find("cached")->AsBool());
+  }
+  fx.Stop();
+  EXPECT_EQ(fx.daemon().stats().jobs_ok, 2u);
+  EXPECT_EQ(fx.daemon().stats().cache_stores, 0u);
+}
+
 TEST(FarmDaemonTest, BadSubmitsGetErrorEventsNotDisconnects) {
   DaemonFixture fx;
   ASSERT_TRUE(fx.Start());
@@ -838,7 +868,18 @@ TEST(FarmDaemonTest, BadSubmitsGetErrorEventsNotDisconnects) {
   EXPECT_NE(ev.Find("message")->AsString().find("bad manifest"),
             std::string::npos);
 
-  // The connection survived both.
+  // Unknown workload name: rejected at submit, before the daemon would
+  // try to build the workload (which aborts on an unknown name).
+  runner::Manifest typo = m;
+  typo.workloads = {"mfc"};
+  Submit(client, runner::ManifestToJson(typo), 0);
+  ev = WaitEvent(client, "error");
+  EXPECT_NE(ev.Find("message")->AsString().find(
+                "workloads[0]: unknown workload 'mfc'"),
+            std::string::npos)
+      << ev.Find("message")->AsString();
+
+  // The connection survived all three.
   ASSERT_TRUE(client.Ping(&error)) << error;
   fx.Stop();
 }

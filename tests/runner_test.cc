@@ -2,11 +2,13 @@
 // checkpointed fast-forward layer (save/load round trips must reproduce a
 // live-warmed run bit-identically), the multi-process worker pool
 // (timeout, bounded retry with backoff, fail-fast exits, crash isolation
-// — driven with /bin/sh so no test forks a multi-second simulator), and
-// the manifest parser's path-annotated rejection diagnostics.
+// — driven with /bin/sh so no test forks a multi-second simulator), the
+// manifest parser's path-annotated rejection diagnostics, and every
+// committed bench/manifests/*.json.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -591,6 +593,54 @@ TEST(ManifestTest, RejectionDiagnosticsNameThePath) {
                        "num": "a", "den": "a"}]})",
       &m, &error));
   EXPECT_NE(error.find("derived[0].op"), std::string::npos) << error;
+
+  // Workload names are checked against the registry, after every
+  // structural check: a matrix name and a mix-job name.
+  EXPECT_FALSE(ParseManifest(
+      R"({"manifest_version": 1, "name": "t", "workloads": ["mcf", "mfc"],
+          "configs": [{"label": "a"}]})",
+      &m, &error));
+  EXPECT_NE(error.find("workloads[1]: unknown workload 'mfc'"),
+            std::string::npos)
+      << error;
+
+  EXPECT_FALSE(ParseManifest(
+      R"({"manifest_version": 1, "name": "t", "workloads": [],
+          "configs": [{"label": "a"}],
+          "jobs": [{"workload": "art", "config": "a"},
+                   {"workloads": ["mcf", "atr"], "config": "a"}]})",
+      &m, &error));
+  EXPECT_NE(error.find("jobs[1].workloads[1]: unknown workload 'atr'"),
+            std::string::npos)
+      << error;
+}
+
+// Every committed experiment definition loads, declares at least one job
+// and has a name of its own: documents are written to <out>/<name>.json,
+// so two manifests sharing a name would overwrite each other's results.
+TEST(ManifestTest, EveryCommittedManifestLoads) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SPEAR_MANIFEST_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty()) << "no manifests under " << SPEAR_MANIFEST_DIR;
+
+  std::map<std::string, std::string> file_of_name;
+  for (const std::filesystem::path& path : files) {
+    Manifest m;
+    std::string error;
+    if (!LoadManifestFile(path.string(), &m, &error)) {
+      ADD_FAILURE() << error;
+      continue;
+    }
+    EXPECT_FALSE(ExpandJobs(m).empty()) << path;
+    const auto [it, fresh] =
+        file_of_name.emplace(m.name, path.filename().string());
+    EXPECT_TRUE(fresh) << path.filename() << " and " << it->second
+                       << " both name '" << m.name << "'";
+  }
 }
 
 TEST(ManifestTest, EmitParseIsAnIdentity) {

@@ -370,12 +370,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "spearfuzz: unexpected positional argument\n");
     return tools::kExitUsage;
   }
-  if (!spear::cosim::kCosimCompiled) {
-    std::fprintf(stderr,
-                 "spearfuzz: built with SPEAR_ENABLE_COSIM=0 — the checker "
-                 "is compiled out\n");
-    return tools::kExitUsage;
-  }
   if (flags.GetBool("taint")) {
     if (!spear::taint::kTaintCompiled) {
       std::fprintf(stderr,

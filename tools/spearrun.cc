@@ -1,7 +1,10 @@
 // spearrun — run an experiment manifest end-to-end: expand the job
 // matrix, execute every job across a pool of worker processes (with
 // checkpointed fast-forward, per-job timeouts and bounded retry), and
-// aggregate the rows into one results document under bench/results/.
+// aggregate the rows into one results document under bench/results/,
+// then print the workload x config IPC table (and, for multiprogram
+// manifests, the per-mix throughput table) plus the derived metrics.
+// Every experiment is a manifest under bench/manifests/.
 //
 //   spearrun --manifest bench/manifests/fig6.json -j $(nproc)
 //   spearrun --manifest bench/manifests/ci_quick.json -j 4 --quick \
@@ -86,6 +89,72 @@ int WorkerMain(const Manifest& manifest, const tools::Flags& flags,
   const bool incomplete =
       err != nullptr && err->AsString().rfind("incomplete", 0) == 0;
   return incomplete ? kExitIncomplete : kExitFailure;
+}
+
+const telemetry::JsonValue* FindJobRow(const telemetry::JsonValue& jobs,
+                                       const std::string& id) {
+  for (const telemetry::JsonValue& row : jobs.items()) {
+    const telemetry::JsonValue* rid = row.Find("id");
+    if (rid != nullptr && rid->AsString() == id) return &row;
+  }
+  return nullptr;
+}
+
+// Per-mix table for multiprogram manifests: throughput plus the figures
+// of merit each mix row already carries.
+void PrintMixTable(const Manifest& m, const telemetry::JsonValue& jobs) {
+  bool any = false;
+  for (const JobSpec& j : m.extra_jobs) any = any || j.is_mix();
+  if (!any) return;
+  std::printf("\n%-28s %10s %10s %10s\n", "mix/config", "thru IPC",
+              "w.speedup", "fairness");
+  for (const JobSpec& j : m.extra_jobs) {
+    if (!j.is_mix()) continue;
+    const std::string id = JobId(m, j);
+    const telemetry::JsonValue* row = FindJobRow(jobs, id);
+    const telemetry::JsonValue* thru =
+        row != nullptr ? row->FindPath("stats.throughput_ipc") : nullptr;
+    if (thru == nullptr) {
+      std::printf("%-28s %10s\n", id.c_str(),
+                  row != nullptr ? "FAIL" : "-");
+      continue;
+    }
+    const telemetry::JsonValue* ws = row->FindPath("stats.weighted_speedup");
+    const telemetry::JsonValue* hf = row->FindPath("stats.hmean_fairness");
+    std::printf("%-28s %10.3f %10.3f %10.3f\n", id.c_str(), thru->AsDouble(),
+                ws != nullptr ? ws->AsDouble() : 0.0,
+                hf != nullptr ? hf->AsDouble() : 0.0);
+  }
+}
+
+// The workload x config IPC table of the document's matrix rows, then
+// the mix table.
+void PrintTables(const Manifest& m, const telemetry::JsonValue& doc) {
+  const telemetry::JsonValue* jobs = doc.Find("jobs");
+  if (jobs == nullptr) return;
+  if (!m.workloads.empty()) {
+    std::printf("\n%-10s", "benchmark");
+    for (const ConfigSpec& c : m.configs) {
+      std::printf(" %12s", c.label.c_str());
+    }
+    std::printf("  (IPC)\n");
+    for (const std::string& w : m.workloads) {
+      std::printf("%-10s", w.c_str());
+      for (const ConfigSpec& c : m.configs) {
+        const telemetry::JsonValue* row = FindJobRow(*jobs, w + "/" + c.label);
+        const telemetry::JsonValue* ipc =
+            row != nullptr ? row->FindPath("stats.ipc") : nullptr;
+        if (ipc != nullptr) {
+          std::printf(" %12.3f", ipc->AsDouble());
+        } else {
+          std::printf(" %12s", row != nullptr ? "FAIL" : "-");
+        }
+      }
+      std::printf("\n");
+    }
+  }
+  PrintMixTable(m, *jobs);
+  std::printf("\n");
 }
 
 }  // namespace
@@ -178,9 +247,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const spear::runner::JobSpec& job = jobs[i];
       const std::string id = spear::runner::JobId(manifest, jobs[i]);
-      if (job.debug_hang) {
-        std::printf("  [%3zu] %-6s %10s  %-28s (debug_hang, uncacheable)\n",
-                    i, "skip", "-", id.c_str());
+      if (job.debug_hang || job.is_mix()) {
+        std::printf("  [%3zu] %-6s %10s  %-28s (%s, uncacheable)\n", i,
+                    "skip", "-", id.c_str(),
+                    job.debug_hang ? "debug_hang" : "mix");
         continue;
       }
       const spear::EvalOptions eopts = spear::runner::MakeEvalOptions(
@@ -228,6 +298,7 @@ int main(int argc, char** argv) {
                        manifest, manifest_path, SelfExePath(argv[0]), opts);
   }
 
+  PrintTables(manifest, result.document);
   const std::string path = spear::runner::WriteRunnerDoc(
       result.document, flags.Get("out", "bench/results"), manifest.name);
   std::printf("wrote %s\n", path.c_str());

@@ -186,12 +186,6 @@ int main(int argc, char** argv) {
                    "--cores >= 2\n");
       return tools::kExitUsage;
     }
-    if (flags.GetBool("cosim") && !cosim::kCosimCompiled) {
-      std::fprintf(stderr,
-                   "spearsim: cosim hooks compiled out "
-                   "(SPEAR_ENABLE_COSIM=0); --cosim unavailable\n");
-      return tools::kExitUsage;
-    }
     cfg.spear.xcore_pthreads = xcore;
     cfg.cosim_check = flags.GetBool("cosim") || flags.Has("cosim-inject");
     EvalOptions opt;
@@ -282,12 +276,6 @@ int main(int argc, char** argv) {
                    "(detailed intervals run on throwaway cores)\n");
       return tools::kExitUsage;
     }
-    if (flags.GetBool("cosim") && !cosim::kCosimCompiled) {
-      std::fprintf(stderr,
-                   "spearsim: cosim hooks compiled out "
-                   "(SPEAR_ENABLE_COSIM=0); --cosim unavailable\n");
-      return tools::kExitUsage;
-    }
     cfg.cosim_check = flags.GetBool("cosim");
     EvalOptions opt;
     opt.sim_instrs = max_instrs;
@@ -364,12 +352,6 @@ int main(int argc, char** argv) {
   // Lockstep co-simulation: a shadow emulator checks every commit.
   std::unique_ptr<cosim::CosimChecker> checker;
   if (flags.GetBool("cosim") || flags.Has("cosim-inject")) {
-    if (!cosim::kCosimCompiled) {
-      std::fprintf(stderr,
-                   "spearsim: cosim hooks compiled out "
-                   "(SPEAR_ENABLE_COSIM=0); --cosim unavailable\n");
-      return tools::kExitUsage;
-    }
     cosim::CosimChecker::Config cc;
     cc.inject_at =
         static_cast<std::uint64_t>(flags.GetInt("cosim-inject", 0));
