@@ -105,6 +105,10 @@ int main(int argc, char** argv) {
        {"baseline", "simspeed_baseline.json to gate against"},
        {"tolerance", "allowed fractional regression vs the baseline "
                      "(default 0.15)"}});
+  if (flags.GetInt("scale", 1) < 1) {
+    std::fprintf(stderr, "simspeed: scale: must be >= 1\n");
+    return tools::kExitUsage;
+  }
   const BenchContext ctx = ContextFromFlags(flags);
   const std::vector<std::string> workloads = AllBenchmarkNames();
 

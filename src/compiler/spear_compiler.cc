@@ -57,7 +57,10 @@ Program CompileSpear(const Program& profile_input, const Program& target,
     report->slices = slices.reports;
   }
 
-  Program out = target;  // the attaching tool rewrites the binary
+  // The attaching tool rewrites the binary. The copy shares target's
+  // data segments copy-on-write (isa/program.h): attaching copies no
+  // image bytes.
+  Program out = target;
   out.pthreads = std::move(slices.specs);
   return out;
 }

@@ -129,13 +129,6 @@ class EventScheduler {
     }
   }
 
-  // Compatibility wrapper around TakeCompletionsInto.
-  std::vector<SchedRef> TakeCompletions(Cycle cycle) {
-    std::vector<SchedRef> bucket;
-    TakeCompletionsInto(cycle, bucket);
-    return bucket;
-  }
-
   // ---- per-producer-slot wakeup table ------------------------------------
   // Sized to the owning RUU's slot count at Core construction and
   // re-validated on every attach: a scheduler reused with a *smaller* RUU

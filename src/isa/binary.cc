@@ -128,11 +128,12 @@ Program DeserializeProgram(const std::vector<std::uint8_t>& bytes) {
 
   const std::uint32_t nseg = rd.U32();
   for (std::uint32_t i = 0; i < nseg; ++i) {
-    DataSegment seg;
-    seg.base = rd.U32();
+    const Addr base = rd.U32();
     const std::uint32_t size = rd.U32();
-    seg.bytes = rd.Bytes(size);
-    prog.data.push_back(std::move(seg));
+    // A segment past the top of the address space would wrap onto low
+    // addresses at load.
+    SPEAR_CHECK(std::uint64_t{base} + size <= kAddressSpaceEnd);
+    prog.AddSegment(base, rd.Bytes(size));
   }
 
   const std::uint32_t nspec = rd.U32();

@@ -14,9 +14,16 @@
 // other's writes. That makes a warm-state snapshot, a warm-started core
 // and a restored checkpoint child cost one pointer per page instead of
 // one page copy — the difference between a sampled interval's host cost
-// following its instruction count and following its image size. The
-// sharing is unsynchronized by design: no Memory crosses threads (the
-// runner parallelizes by fork).
+// following its instruction count and following its image size.
+//
+// The sharing starts at the program image: LoadProgram adopts every page
+// a data segment covers entirely as a handle aliasing the segment's bytes
+// in the Program's copy-on-write segment list (isa/program.h), so a
+// freshly loaded Memory copies only the partly covered pages at segment
+// ends, and the same clone-before-write rule keeps the Program and every
+// other Memory that loaded it from seeing this one's writes. The sharing
+// is unsynchronized by design: no Memory crosses threads (the runner
+// parallelizes by fork).
 #pragma once
 
 #include <algorithm>
@@ -37,12 +44,12 @@ class Memory {
   static constexpr Addr kPageSize = 1u << kPageBits;
 
   std::uint8_t ReadU8(Addr addr) const {
-    const Page* page = FindPageCached(addr);
-    return page ? (*page)[Offset(addr)] : 0;
+    const std::uint8_t* page = FindPageCached(addr);
+    return page ? page[Offset(addr)] : 0;
   }
 
   void WriteU8(Addr addr, std::uint8_t value) {
-    (*TouchPageCached(addr))[Offset(addr)] = value;
+    TouchPageCached(addr)[Offset(addr)] = value;
   }
 
   // Multi-byte accesses take one page lookup (not one per byte) when the
@@ -54,9 +61,9 @@ class Memory {
   std::uint32_t ReadU32(Addr addr) const {
     const Addr off = Offset(addr);
     if (off <= kPageSize - 4) {
-      const Page* page = FindPageCached(addr);
+      const std::uint8_t* page = FindPageCached(addr);
       if (page == nullptr) return 0;
-      const std::uint8_t* p = page->data() + off;
+      const std::uint8_t* p = page + off;
       return static_cast<std::uint32_t>(p[0]) |
              (static_cast<std::uint32_t>(p[1]) << 8) |
              (static_cast<std::uint32_t>(p[2]) << 16) |
@@ -73,7 +80,7 @@ class Memory {
   void WriteU32(Addr addr, std::uint32_t value) {
     const Addr off = Offset(addr);
     if (off <= kPageSize - 4) {
-      std::uint8_t* p = TouchPageCached(addr)->data() + off;
+      std::uint8_t* p = TouchPageCached(addr) + off;
       p[0] = static_cast<std::uint8_t>(value);
       p[1] = static_cast<std::uint8_t>(value >> 8);
       p[2] = static_cast<std::uint8_t>(value >> 16);
@@ -89,9 +96,9 @@ class Memory {
   std::uint64_t ReadU64(Addr addr) const {
     const Addr off = Offset(addr);
     if (off <= kPageSize - 8) {
-      const Page* page = FindPageCached(addr);
+      const std::uint8_t* page = FindPageCached(addr);
       if (page == nullptr) return 0;
-      const std::uint8_t* p = page->data() + off;
+      const std::uint8_t* p = page + off;
       std::uint64_t v = 0;
       for (int i = 0; i < 8; ++i) {
         v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
@@ -105,7 +112,7 @@ class Memory {
   void WriteU64(Addr addr, std::uint64_t value) {
     const Addr off = Offset(addr);
     if (off <= kPageSize - 8) {
-      std::uint8_t* p = TouchPageCached(addr)->data() + off;
+      std::uint8_t* p = TouchPageCached(addr) + off;
       for (int i = 0; i < 8; ++i) {
         p[i] = static_cast<std::uint8_t>(value >> (8 * i));
       }
@@ -138,15 +145,37 @@ class Memory {
       const Addr off = Offset(addr);
       const std::size_t chunk =
           std::min(n - done, static_cast<std::size_t>(kPageSize - off));
-      std::memcpy(TouchPage(addr)->data() + off, bytes + done, chunk);
+      std::memcpy(TouchPage(addr) + off, bytes + done, chunk);
       done += chunk;
     }
   }
 
-  // Installs the program's initialized data segments.
+  // Installs the program's initialized data segments, in order, so where
+  // two overlap the later one wins. A page the segment covers entirely is
+  // adopted: its handle aliases the segment's bytes and shares ownership
+  // of the program's segment list, so nothing is copied, and the first
+  // write to it here clones it (the list's owners always number at least
+  // two while the Program lives). A partly covered page is written the
+  // way WriteBlock writes, which clones an adopted page first, so a later
+  // segment that overlaps part of an earlier one's page lands on a copy.
+  // Adopted pages count as allocated pages like any other.
   void LoadProgram(const Program& prog) {
-    for (const DataSegment& seg : prog.data) {
-      WriteBlock(seg.base, seg.bytes.data(), seg.bytes.size());
+    InvalidateMemos();  // an adopted page may replace a memoized one
+    for (std::size_t i = 0; i < prog.data.size(); ++i) {
+      const DataSegment& seg = prog.data[i];
+      const std::uint64_t end = std::uint64_t{seg.base} + seg.bytes.size();
+      for (std::uint64_t page = seg.base & ~std::uint64_t{kPageSize - 1};
+           page < end; page += kPageSize) {
+        const std::uint64_t lo = std::max<std::uint64_t>(page, seg.base);
+        const std::uint64_t hi = std::min(page + kPageSize, end);
+        const std::size_t off = lo - seg.base;
+        if (hi - lo == kPageSize) {
+          AdoptPage(PageNumber(static_cast<Addr>(page)),
+                    prog.data.ShareBytes(i, off));
+        } else {
+          WriteBlock(static_cast<Addr>(lo), seg.bytes.data() + off, hi - lo);
+        }
+      }
     }
   }
 
@@ -201,20 +230,23 @@ class Memory {
   const std::uint8_t* PageData(Addr page_number) const {
     const Leaf* leaf = dir_[page_number >> kLeafBits].get();
     if (leaf == nullptr) return nullptr;
-    const Page* page = (*leaf)[page_number & (kFanout - 1)].get();
-    return page == nullptr ? nullptr : page->data();
+    return (*leaf)[page_number & (kFanout - 1)].get();
   }
 
   // Installs kPageSize bytes as page `page_number` (checkpoint restore).
   // A shared page is replaced rather than cloned: every byte is about to
   // be overwritten anyway.
   void InstallPage(Addr page_number, const std::uint8_t* bytes) {
-    std::memcpy(SlotForWrite(page_number, /*keep_bytes=*/false)->data(),
-                bytes, kPageSize);
+    std::memcpy(SlotForWrite(page_number, /*keep_bytes=*/false), bytes,
+                kPageSize);
   }
 
  private:
-  using Page = std::array<std::uint8_t, kPageSize>;
+  // kPageSize bytes: a page of its own, or an adopted image page aliasing
+  // a program's segment bytes (LoadProgram). Either way, while
+  // use_count() > 1 the bytes may be visible through another handle, so a
+  // write clones them first.
+  using PageRef = std::shared_ptr<std::uint8_t[]>;
 
   // 20-bit page numbers (32-bit addresses, 4 KiB pages) split 10/10 over
   // a directory of on-demand leaves. The directory itself is 8 KiB of
@@ -222,39 +254,53 @@ class Memory {
   // instances tests and sampling intervals create.
   static constexpr unsigned kLeafBits = 10;
   static constexpr std::size_t kFanout = 1u << kLeafBits;
-  using Leaf = std::array<std::shared_ptr<Page>, kFanout>;
+  using Leaf = std::array<PageRef, kFanout>;
 
   static Addr PageNumber(Addr addr) { return addr >> kPageBits; }
   static Addr Offset(Addr addr) { return addr & (kPageSize - 1); }
 
-  const Page* FindPage(Addr addr) const {
+  const std::uint8_t* FindPage(Addr addr) const {
     const Addr pn = PageNumber(addr);
     const Leaf* leaf = dir_[pn >> kLeafBits].get();
     if (leaf == nullptr) return nullptr;
     return (*leaf)[pn & (kFanout - 1)].get();
   }
 
-  Page* TouchPage(Addr addr) {
+  std::uint8_t* TouchPage(Addr addr) {
     return SlotForWrite(PageNumber(addr), /*keep_bytes=*/true);
+  }
+
+  PageRef& Slot(Addr pn) {
+    std::unique_ptr<Leaf>& leaf = dir_[pn >> kLeafBits];
+    if (!leaf) leaf = std::make_unique<Leaf>();
+    return (*leaf)[pn & (kFanout - 1)];
   }
 
   // The page `pn` made private to this Memory, ready to write: allocated
   // zero-filled on first touch, cloned when shared (or, without
   // `keep_bytes`, replaced by a fresh page the caller fully overwrites).
   // A replaced page may be the read memo's, which is retargeted.
-  Page* SlotForWrite(Addr pn, bool keep_bytes) {
-    std::unique_ptr<Leaf>& leaf = dir_[pn >> kLeafBits];
-    if (!leaf) leaf = std::make_unique<Leaf>();
-    std::shared_ptr<Page>& slot = (*leaf)[pn & (kFanout - 1)];
+  std::uint8_t* SlotForWrite(Addr pn, bool keep_bytes) {
+    PageRef& slot = Slot(pn);
     if (!slot) {
-      slot = std::make_shared<Page>();  // value-initialized: all zero
+      slot = std::make_shared<std::uint8_t[]>(kPageSize);  // all zero
       ++page_count_;
     } else if (slot.use_count() > 1) {
-      slot = keep_bytes ? std::make_shared<Page>(*slot)
-                        : std::make_shared<Page>();
+      PageRef fresh =
+          std::make_shared_for_overwrite<std::uint8_t[]>(kPageSize);
+      if (keep_bytes) std::memcpy(fresh.get(), slot.get(), kPageSize);
+      slot = std::move(fresh);
       if (rmemo_pn_ == pn) rmemo_page_ = slot.get();
     }
     return slot.get();
+  }
+
+  // Makes `page` page `pn`, whatever was there before (LoadProgram, with
+  // the memos already dropped).
+  void AdoptPage(Addr pn, PageRef page) {
+    PageRef& slot = Slot(pn);
+    if (!slot) ++page_count_;
+    slot = std::move(page);
   }
 
   // One-entry page memos for the read and write paths: loops and stack
@@ -265,10 +311,10 @@ class Memory {
   // additionally only ever names a page this Memory owns alone, so
   // CopyFrom drops the *source's* write memo when it shares the pages.
   // Absent pages are not memoized — a later write may create them.
-  const Page* FindPageCached(Addr addr) const {
+  const std::uint8_t* FindPageCached(Addr addr) const {
     const Addr pn = PageNumber(addr);
     if (pn == rmemo_pn_) return rmemo_page_;
-    const Page* page = FindPage(addr);
+    const std::uint8_t* page = FindPage(addr);
     if (page != nullptr) {
       rmemo_pn_ = pn;
       rmemo_page_ = page;
@@ -276,10 +322,10 @@ class Memory {
     return page;
   }
 
-  Page* TouchPageCached(Addr addr) {
+  std::uint8_t* TouchPageCached(Addr addr) {
     const Addr pn = PageNumber(addr);
     if (pn == wmemo_pn_) return wmemo_page_;
-    Page* page = TouchPage(addr);
+    std::uint8_t* page = TouchPage(addr);
     wmemo_pn_ = pn;
     wmemo_page_ = page;
     return page;
@@ -297,9 +343,9 @@ class Memory {
   static constexpr Addr kNoMemo = ~Addr{0};
 
   mutable Addr rmemo_pn_ = kNoMemo;
-  mutable const Page* rmemo_page_ = nullptr;
+  mutable const std::uint8_t* rmemo_page_ = nullptr;
   mutable Addr wmemo_pn_ = kNoMemo;  // dropped by a CopyFrom that reads us
-  mutable Page* wmemo_page_ = nullptr;
+  mutable std::uint8_t* wmemo_page_ = nullptr;
 
   std::array<std::unique_ptr<Leaf>, kFanout> dir_;
   std::size_t page_count_ = 0;

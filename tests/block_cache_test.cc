@@ -169,7 +169,7 @@ TEST(BlockCache, FingerprintCoversCodeAndMarksNotData) {
   // Data segments are excluded: poking data does not invalidate.
   Program data = g.prog;
   ASSERT_FALSE(data.data.empty());
-  data.data[0].bytes[0] ^= 0xff;
+  data.MutableSegment(0).bytes[0] ^= 0xff;
   EXPECT_EQ(BlockCache::CodeFingerprint(data, true), base);
 
   // The p-thread section participates iff marks are requested.

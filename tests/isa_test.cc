@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "isa/assembler.h"
 #include "isa/binary.h"
@@ -234,6 +235,29 @@ TEST(Binary, Version2WithoutSecretsSectionStillLoads) {
   EXPECT_EQ(back.text.size(), prog.text.size());
   EXPECT_EQ(back.pthreads.size(), prog.pthreads.size());
   EXPECT_TRUE(back.secret_ranges.empty());
+}
+
+// A segment may end at the top of the 32-bit address space but not run
+// past it: at load its excess would wrap onto the lowest pages.
+TEST(BinaryDeathTest, SegmentWrappingTheAddressSpaceIsRejected) {
+  Program prog;  // no text, so the segment header sits at a fixed offset
+  prog.AddSegment(0xfffff000, 0x1000);
+  std::vector<std::uint8_t> bytes = SerializeProgram(prog);
+  EXPECT_EQ(DeserializeProgram(bytes).data[0].bytes.size(), 0x1000u);
+
+  // Grow the segment to 8 KiB. Its base u32 sits at 28 (after magic,
+  // version, text_base, entry, ntext and nseg) and its size u32 at 32.
+  constexpr std::size_t kBaseAt = 28;
+  constexpr std::size_t kSizeAt = 32;
+  ASSERT_EQ(bytes[kBaseAt + 1], 0xf0);
+  ASSERT_EQ(bytes[kSizeAt + 1], 0x10);
+  bytes[kSizeAt + 1] = 0x20;
+  bytes.insert(bytes.begin() + kSizeAt + 4 + 0x1000, 0x1000, 0);
+  EXPECT_DEATH(DeserializeProgram(bytes), "SPEAR_CHECK failed");
+  bytes[kBaseAt + 1] = 0xe0;  // 0xffffe000: now it ends exactly at the top
+  EXPECT_EQ(DeserializeProgram(bytes).data[0].bytes.size(), 0x2000u);
+
+  EXPECT_DEATH(prog.AddSegment(0xfffff000, 0x2000), "SPEAR_CHECK failed");
 }
 
 TEST(Program, IsSecretAddrOverlapSemantics) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <utility>
@@ -64,8 +65,6 @@ TEST(Memory, LoadProgramInstallsSegments) {
   EXPECT_EQ(mem.ReadU32(0x5008), 99u);
 }
 
-// --- copy-on-write sharing (CopyFrom) ---
-
 // Every allocated page of `mem`, by number, as bytes.
 std::vector<std::pair<Addr, std::vector<std::uint8_t>>> Pages(
     const Memory& mem) {
@@ -76,6 +75,55 @@ std::vector<std::pair<Addr, std::vector<std::uint8_t>>> Pages(
   }
   return out;
 }
+
+constexpr Addr kPage = Memory::kPageSize;
+
+void AddRandomSegment(Program& prog, Addr base, std::size_t size,
+                      Rng& rng) {
+  for (std::uint8_t& b : prog.AddSegment(base, size).bytes) {
+    b = static_cast<std::uint8_t>(rng.Below(255) + 1);  // never zero
+  }
+}
+
+// The load semantics page adoption must keep: byte for byte what writing
+// every segment's bytes in order gives, the later segment winning where
+// two overlap, with the same page set.
+TEST(Memory, LoadProgramMatchesByteWritesInSegmentOrder) {
+  Rng rng(17);
+  Program prog;
+  // Unaligned start, two whole pages, partial tail page.
+  AddRandomSegment(prog, 0x10123, 3 * kPage + 100, rng);
+  // Page-aligned, four whole pages and a partial tail page.
+  AddRandomSegment(prog, 0x20000, 4 * kPage + 0x80, rng);
+  // Overlaps the previous one: part of page 0x21, all of 0x22, part of
+  // 0x23.
+  AddRandomSegment(prog, 0x21800, 2 * kPage, rng);
+  // Overlaps the first one's partial head page from below.
+  AddRandomSegment(prog, 0xf000, kPage + 0x200, rng);
+  ASSERT_EQ(OverlappingSegments(prog),
+            (std::vector<std::pair<std::size_t, std::size_t>>{{0, 3},
+                                                              {1, 2}}));
+
+  Memory want;
+  for (const DataSegment& seg : prog.data) {
+    for (std::size_t i = 0; i < seg.bytes.size(); ++i) {
+      want.WriteU8(seg.base + static_cast<Addr>(i), seg.bytes[i]);
+    }
+  }
+  Memory mem;
+  mem.LoadProgram(prog);
+  EXPECT_EQ(mem.PageNumbers(), want.PageNumbers());
+  EXPECT_EQ(mem.AllocatedPages(), want.AllocatedPages());
+  EXPECT_EQ(Pages(mem), Pages(want));
+  // Whole pages alias the program's bytes, unless a later segment
+  // overlaps part of them.
+  EXPECT_EQ(mem.PageData(0x11), &prog.data[0].bytes[0x11000 - 0x10123]);
+  EXPECT_EQ(mem.PageData(0x20), &prog.data[1].bytes[0]);
+  EXPECT_NE(mem.PageData(0x21), &prog.data[1].bytes[kPage]);
+  EXPECT_EQ(mem.PageData(0x22), &prog.data[2].bytes[0x22000 - 0x21800]);
+}
+
+// --- copy-on-write sharing (CopyFrom) ---
 
 void ExpectPageSetsAgree(const Memory& m) {
   EXPECT_EQ(m.AllocatedPages(), m.PageNumbers().size());
@@ -207,6 +255,98 @@ TEST(MemoryCow, CopyFromReplacesPreviousContents) {
   EXPECT_EQ(Pages(b), Pages(a));
   b.CopyFrom(b);  // self-copy is a no-op
   EXPECT_EQ(Pages(b), Pages(a));
+}
+
+// --- copy-on-write sharing with the program image (LoadProgram) ---
+
+// An image of the two pages CowSource() writes: page 0x10, where every
+// CowWrites() write lands, all 0x22 bytes, and page 0x20. Each segment
+// covers its page entirely, so a load adopts both.
+Program CowProgram() {
+  Program prog;
+  DataSegment& low = prog.AddSegment(0x10000, kPage);
+  std::fill(low.bytes.begin(), low.bytes.end(), 0x22);
+  PokeU32(prog.AddSegment(0x20000, kPage), 0x20000, 0x33333333);
+  return prog;
+}
+
+TEST(MemoryCow, LoadedImageWritesReachNeitherTheProgramNorOtherLoads) {
+  for (const CowWrite& w : CowWrites()) {
+    SCOPED_TRACE(w.name);
+    const Program prog = CowProgram();
+    const std::vector<std::uint8_t> image = prog.data[0].bytes;
+    Memory a;
+    Memory b;
+    a.LoadProgram(prog);
+    b.LoadProgram(prog);
+    // Nothing was copied: both memories alias the program's bytes.
+    ASSERT_EQ(a.PageData(0x10), prog.data[0].bytes.data());
+    ASSERT_EQ(b.PageData(0x10), prog.data[0].bytes.data());
+    EXPECT_EQ(a.ReadU32(0x10004), 0x22222222u);  // read memo: adopted page
+    const auto before = Pages(b);
+
+    w.write(a);
+    EXPECT_TRUE(w.sees_write(a));
+    EXPECT_FALSE(w.sees_write(b));
+    EXPECT_EQ(Pages(b), before);
+    EXPECT_EQ(prog.data[0].bytes, image);
+    EXPECT_NE(a.PageData(0x10), prog.data[0].bytes.data());
+    EXPECT_EQ(a.PageNumbers(), b.PageNumbers());
+    EXPECT_EQ(a.AllocatedPages(), 2u);
+    ExpectPageSetsAgree(a);
+  }
+}
+
+TEST(MemoryCow, ProgramCopyEditedThroughMutableSegmentLeavesTheOriginal) {
+  const Program orig = CowProgram();
+  Memory loaded;
+  loaded.LoadProgram(orig);
+  Program copy = orig;
+  EXPECT_EQ(copy.data[0].bytes.data(), orig.data[0].bytes.data());
+
+  PokeU32(copy.MutableSegment(0), 0x10004, 0xfeedface);
+  copy.AddSegment(0x30000, 16);
+  EXPECT_NE(copy.data[0].bytes.data(), orig.data[0].bytes.data());
+  EXPECT_EQ(orig.data.size(), 2u);
+  EXPECT_EQ(copy.data.size(), 3u);
+  Memory from_copy;
+  Memory from_orig;
+  from_copy.LoadProgram(copy);
+  from_orig.LoadProgram(orig);
+  EXPECT_EQ(from_copy.ReadU32(0x10004), 0xfeedfaceu);
+  EXPECT_EQ(from_orig.ReadU32(0x10004), 0x22222222u);
+  EXPECT_EQ(loaded.ReadU32(0x10004), 0x22222222u);
+
+  // A list nothing else holds is edited in place, not copied.
+  Program solo = CowProgram();
+  const std::uint8_t* bytes = solo.data[0].bytes.data();
+  EXPECT_EQ(solo.MutableSegment(0).bytes.data(), bytes);
+}
+
+TEST(MemoryCow, LoadedMemoryOutlivesItsProgram) {
+  Memory m;
+  Memory last;
+  {
+    const Program prog = CowProgram();
+    m.LoadProgram(prog);
+    Program one_page;
+    one_page.AddSegment(0x40000, kPage);
+    last.LoadProgram(one_page);
+  }
+  EXPECT_EQ(m.ReadU32(0x10004), 0x22222222u);
+  EXPECT_EQ(m.ReadU32(0x20000), 0x33333333u);
+  Memory shared;
+  shared.CopyFrom(m);
+  m.WriteU32(0x10004, 5);
+  EXPECT_EQ(m.ReadU32(0x10004), 5u);
+  EXPECT_EQ(m.ReadU32(0x10000), 0x22222222u);
+  EXPECT_EQ(shared.ReadU32(0x10004), 0x22222222u);
+
+  // Holding the list's last reference, a memory writes the page in place.
+  const std::uint8_t* page = last.PageData(0x40);
+  last.WriteU32(0x40000, 9);
+  EXPECT_EQ(last.PageData(0x40), page);
+  EXPECT_EQ(last.ReadU32(0x40000), 9u);
 }
 
 // Two cores warm-started in turn from one WarmState (the benchmark's

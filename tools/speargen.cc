@@ -3,6 +3,8 @@
 //   speargen mcf --seed=42 --scale=1 -o mcf.spearbin
 //   speargen mcf --secret 0x20000:256 -o mcf.spearbin
 //   speargen --list
+//
+// An unknown workload name or a scale below 1 is a usage error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -60,12 +62,41 @@ int main(int argc, char** argv) {
   }
 
   const std::string name = flags.positional()[0];
+  const WorkloadInfo* info = nullptr;
+  std::string names;
+  for (const WorkloadInfo& w : AllWorkloads()) {
+    if (name == w.name) info = &w;
+    if (!names.empty()) names += ", ";
+    names += w.name;
+  }
+  if (info == nullptr) {
+    std::fprintf(stderr, "speargen: unknown workload '%s' (one of: %s)\n",
+                 name.c_str(), names.c_str());
+    return tools::kExitUsage;
+  }
+  const long scale = flags.GetInt("scale", 1);
+  if (scale < 1) {
+    std::fprintf(stderr, "speargen: scale: must be >= 1\n");
+    return tools::kExitUsage;
+  }
   WorkloadConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  cfg.scale = static_cast<int>(flags.GetInt("scale", 1));
-  Program prog = BuildWorkloadProgram(name, cfg);
+  cfg.scale = static_cast<int>(scale);
+  Program prog = info->build(cfg);
   if (flags.Has("secret")) {
     prog.secret_ranges = ParseSecretRanges(flags.Get("secret"));
+  }
+  // The generators' fixed segment bases stop fitting at large scales;
+  // the later segment then overwrites the earlier one (EXPERIMENTS.md).
+  for (const auto& [i, j] : OverlappingSegments(prog)) {
+    const DataSegment& a = prog.data[i];
+    const DataSegment& b = prog.data[j];
+    std::fprintf(stderr,
+                 "speargen: warning: %s scale %ld: data segment %zu "
+                 "[0x%x, +0x%zx) overwrites part of segment %zu "
+                 "[0x%x, +0x%zx)\n",
+                 name.c_str(), scale, j, b.base, b.bytes.size(), i, a.base,
+                 a.bytes.size());
   }
 
   const std::string out = flags.Get("o", name + ".spearbin");
